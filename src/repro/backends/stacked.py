@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends.base import _slice_or_index
+from repro.backends.base import _gather_cols, _operand_cols, _slice_or_index
 from repro.backends.fused import FusedBackend, _FusedClass, _FusedPlanLayout
 
 #: Safety cap on cached stacked layouts (mirrors the fused layout cache cap).
@@ -291,7 +291,8 @@ class StackedBackend(FusedBackend):
             self.count("context_gemm", len(layout.singles))
             for i in layout.singles:
                 rows, cols = classes[i]
-                out[:, _slice_or_index(rows)] = h[:, cols] @ blocks[i].T
+                out[:, _slice_or_index(rows)] = (
+                    _gather_cols(h, cols) @ blocks[i].T)
 
     def context_backward_h(self, key, classes, blocks, grad, grad_h,
                            scale: float = 1.0,
@@ -308,15 +309,15 @@ class StackedBackend(FusedBackend):
             # Different classes may share *some* columns, and a fancy-indexed
             # += buffers duplicates — scatter one class at a time instead.
             for position, i in enumerate(family.members):
-                grad_h[:, classes[i][1]] += contrib[position]
+                grad_h[:, _slice_or_index(classes[i][1])] += contrib[position]
         if layout.singles:
             self.count("context_gemm", len(layout.singles))
             for i in layout.singles:
                 rows, cols = classes[i]
-                gc = grad[:, _slice_or_index(rows)]
+                gc = _operand_cols(grad, rows)
                 if scale != 1.0:
                     gc = gc * scale
-                grad_h[:, cols] += gc @ blocks[i]
+                grad_h[:, _slice_or_index(cols)] += gc @ blocks[i]
 
     def context_backward_blocks(self, key, classes, grad, h,
                                 scale: float = 1.0) -> list[np.ndarray]:
@@ -336,8 +337,8 @@ class StackedBackend(FusedBackend):
             self.count("context_gemm", len(layout.singles))
             for i in layout.singles:
                 rows, cols = classes[i]
-                gc = grad[:, _slice_or_index(rows)]
+                gc = _operand_cols(grad, rows)
                 if scale != 1.0:
                     gc = gc * scale
-                pieces[i] = gc.T @ h[:, cols]
+                pieces[i] = gc.T @ _gather_cols(h, cols)
         return pieces

@@ -24,7 +24,6 @@ See :mod:`repro.bench.harness` for the configuration knobs and
 (``python -m repro.bench.delta``).
 """
 
-from repro.bench.delta import compare_reports, load_report
 from repro.bench.harness import (
     BenchmarkConfig,
     BenchmarkResult,
@@ -40,3 +39,14 @@ __all__ = [
     "run_benchmark",
     "write_report",
 ]
+
+
+def __getattr__(name: str):
+    # The gate's exports load on first use: importing repro.bench.delta here
+    # would put it in sys.modules before ``python -m repro.bench.delta``
+    # executes it, which runpy warns about.
+    if name in ("compare_reports", "load_report"):
+        from repro.bench import delta
+
+        return getattr(delta, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

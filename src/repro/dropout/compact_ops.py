@@ -23,7 +23,8 @@ Two operations are provided:
 * :func:`head_compact_linear` — class-pruned gather-GEMM of the compact loss
   heads (:mod:`repro.heads`): only the kept vocabulary rows are projected
   and the result stays *compact* (the sampled softmax consumes it directly),
-  while the weight/bias gradients scatter into full-size zeroed buffers.
+  and so do the weight/bias gradients: compact row blocks the autodiff tape
+  adds into each parameter's one gradient buffer of the step.
 
 All of them return ordinary :class:`~repro.tensor.Tensor` objects wired into
 the autodiff tape.
@@ -54,6 +55,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from repro.backends import ExecutionBackend, default_backend
+from repro.backends.base import block_selector
 from repro.dropout.engine import (
     CompactWorkspace,
     TileExecutionPlan,
@@ -67,7 +69,7 @@ from repro.dropout.patterns import (
     RowDropoutPattern,
     TileDropoutPattern,
 )
-from repro.tensor import Tensor
+from repro.tensor import RowBlock, Tensor
 from repro.tensor import dirty as _dirty
 
 
@@ -129,13 +131,13 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     backend = backend or default_backend()
     kept_rows = pattern.kept_indices
 
-    weight_compact = backend.gather_rows(weight.data, kept_rows)
     if input_pattern is not None:
         kept_cols = input_pattern.kept_indices
-        weight_compact = backend.gather_cols(weight_compact, kept_cols)
+        weight_compact = backend.gather_block(weight.data, kept_rows, kept_cols)
         x_compact = backend.gather_cols(x.data, kept_cols)
     else:
         kept_cols = None
+        weight_compact = backend.gather_rows(weight.data, kept_rows)
         x_compact = x.data
 
     out_compact = backend.gemm(x_compact, weight_compact.T)
@@ -582,10 +584,12 @@ def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
     ``(batch, len(kept_rows))`` — because the consumer (a sampled softmax)
     only ever looks at the kept classes, so scattering back into the
     full-vocabulary width would waste both the scatter and the downstream
-    loss arithmetic.  The backward pass scatters the weight/bias gradients of
-    the kept classes into full-size zero-filled buffers (drawn from
-    ``workspace`` when given), so dropped classes receive exactly zero
-    gradient — the same semantics every other compact op guarantees.
+    loss arithmetic.  The backward pass returns the weight/bias gradients of
+    the kept classes as :class:`~repro.tensor.RowBlock` contributions, which
+    the tape adds into the parameter's single gradient buffer of the step:
+    dropped classes receive exactly zero gradient — the same semantics every
+    other compact op guarantees — and several calls against one projection
+    (the adaptive head's bands) touch only their own rows.
 
     Parameters
     ----------
@@ -603,9 +607,8 @@ def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         ``output_dropout``): dropped input columns are zero, so the matching
         columns of ``x`` and ``weight`` are skipped as well.
     workspace:
-        Optional :class:`CompactWorkspace` for the full-size gradient
-        scatter buffers (the weight gradient is the big one: ``vocab x
-        hidden``).
+        Optional :class:`CompactWorkspace` for the input-gradient scatter
+        buffer (used with ``input_pattern``).
     backend:
         Optional :class:`~repro.backends.ExecutionBackend`; the reference
         numpy backend when omitted.
@@ -625,9 +628,12 @@ def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         raise ValueError(
             f"kept_rows must index the {out_features} output rows, got range "
             f"[{kept_rows.min()}, {kept_rows.max()}]")
-    if np.unique(kept_rows).size != len(kept_rows):
-        # The gradient scatters assign (not accumulate) per kept row, so a
-        # duplicated class would silently get last-write-wins gradients.
+    if (not np.all(kept_rows[1:] > kept_rows[:-1])
+            and np.unique(kept_rows).size != len(kept_rows)):
+        # The gradient blocks are added through one fancy-index write per
+        # call, so a duplicated class would silently get last-write-wins
+        # gradients.  A strictly increasing set (every head's) is
+        # duplicate-free without hashing it.
         raise ValueError("kept_rows must not contain duplicate classes")
     if x.shape[1] != in_features:
         raise ValueError(
@@ -638,18 +644,21 @@ def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
             f"has {in_features} inputs")
 
     backend = backend or default_backend()
-    weight_compact = backend.gather_rows(weight.data, kept_rows)
     if input_pattern is not None:
         kept_cols = input_pattern.kept_indices
-        weight_compact = backend.gather_cols(weight_compact, kept_cols)
+        weight_compact = backend.gather_block(weight.data, kept_rows, kept_cols)
         x_compact = backend.gather_cols(x.data, kept_cols)
     else:
         kept_cols = None
+        weight_compact = backend.gather_rows(weight.data, kept_rows)
         x_compact = x.data
+    row_index = block_selector(kept_rows, None)
+    weight_index = (row_index if kept_cols is None
+                    else block_selector(kept_rows, kept_cols))
 
     out = backend.gemm(x_compact, weight_compact.T)
     if bias is not None:
-        out = out + bias.data[kept_rows]
+        out = out + bias.data[row_index]
 
     def backward_x(grad: np.ndarray) -> np.ndarray:
         if kept_cols is not None:
@@ -660,24 +669,18 @@ def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
             return grad_x
         return backend.gemm(grad, weight_compact)
 
-    def backward_weight(grad: np.ndarray) -> np.ndarray:
-        grad_weight = backend.zeros(workspace, "head_grad_w", weight.data.shape,
-                                    weight.data.dtype)
-        if kept_cols is not None:
-            backend.scatter_block(grad_weight, kept_rows, kept_cols,
-                                  backend.gemm(grad.T, x_compact))
-        else:
-            backend.scatter_rows(grad_weight, kept_rows,
-                                 backend.gemm(grad.T, x_compact))
-        return grad_weight
+    # The weight and bias gradients stay compact: the tape adds each block
+    # into the parameter's one gradient buffer of the step, so the several
+    # calls of one loss (the adaptive head's bands) share that buffer
+    # instead of each filling a full-vocabulary array.
+    def backward_weight(grad: np.ndarray) -> RowBlock:
+        return RowBlock(backend.gemm(grad.T, x_compact), weight_index,
+                        kept_rows)
 
     parents = [(x, backward_x), (weight, backward_weight)]
     if bias is not None:
-        def backward_bias(grad: np.ndarray) -> np.ndarray:
-            grad_bias = backend.zeros(workspace, "head_grad_b", bias.data.shape,
-                                      bias.data.dtype)
-            backend.scatter_rows(grad_bias, kept_rows, grad.sum(axis=0))
-            return grad_bias
+        def backward_bias(grad: np.ndarray) -> RowBlock:
+            return RowBlock(grad.sum(axis=0), row_index, kept_rows)
 
         parents.append((bias, backward_bias))
 

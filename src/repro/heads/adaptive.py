@@ -64,16 +64,6 @@ from repro.dropout.compact_ops import head_compact_linear
 from repro.heads.base import LossHead
 from repro.tensor import Tensor, functional as F
 
-#: Vocabulary size beyond which the head stops drawing its gradient scatter
-#: buffers from the workspace ring.  Ring reuse re-zeroes the full
-#: ``(vocab, hidden)`` buffer with a dense ``fill(0)`` and forces a defensive
-#: copy when the backward pass adopts it as the leaf gradient; a fresh
-#: ``np.zeros`` is a lazy calloc (untouched pages cost nothing — and a
-#: compact scatter touches only the kept rows) and is adopted without the
-#: copy.  Below the cutoff the buffers are small enough that reuse wins.
-WORKSPACE_VOCAB_CUTOFF = 16384
-
-
 def cluster_boundaries(vocab_size: int, shortlist: int,
                        clusters: int) -> np.ndarray:
     """Geometric band edges over the tail ``[shortlist, vocab_size)``.
@@ -149,16 +139,6 @@ class AdaptiveSoftmaxHead(LossHead):
         self._projected_classes = 0
 
     # ------------------------------------------------------------------
-    # workspace policy
-    # ------------------------------------------------------------------
-    def _scatter_workspace(self, marker):
-        """The workspace ring, except at very large vocab (see
-        :data:`WORKSPACE_VOCAB_CUTOFF`)."""
-        if self.vocab_size >= WORKSPACE_VOCAB_CUTOFF:
-            return None
-        return self._step_workspace(marker)
-
-    # ------------------------------------------------------------------
     # the adaptive loss
     # ------------------------------------------------------------------
     def loss(self, features: Tensor, weight: Tensor, bias: Tensor | None,
@@ -179,7 +159,7 @@ class AdaptiveSoftmaxHead(LossHead):
         head_logits = head_compact_linear(
             features, weight, bias, self.head_classes,
             input_pattern=input_pattern,
-            workspace=self._scatter_workspace(marker), backend=self.backend)
+            workspace=self._step_workspace(marker), backend=self.backend)
 
         # Head-level positions: shortlist targets index themselves, tail
         # targets index their cluster's pilot slot.
@@ -205,7 +185,7 @@ class AdaptiveSoftmaxHead(LossHead):
                 features[members], weight, bias,
                 np.arange(lo, hi, dtype=np.int64),
                 input_pattern=input_pattern,
-                workspace=self._scatter_workspace(marker),
+                workspace=self._step_workspace(marker),
                 backend=self.backend)
             cluster_loss = F.cross_entropy(cluster_logits,
                                            targets[members] - lo)

@@ -11,11 +11,12 @@ the tape in reverse topological order and accumulates gradients into
 ``Tensor.grad``.
 """
 
-from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled
+from repro.tensor.tensor import RowBlock, Tensor, no_grad, is_grad_enabled
 from repro.tensor import functional
 from repro.tensor.gradcheck import check_gradients, numerical_gradient
 
 __all__ = [
+    "RowBlock",
     "Tensor",
     "no_grad",
     "is_grad_enabled",

@@ -60,7 +60,29 @@ def _merge(a: tuple, b: tuple) -> tuple:
         return _FULL
     if a[1] is b[1]:
         return a
-    return (a[0], np.union1d(a[1], b[1]))
+    return (a[0], _union(a[1], b[1]))
+
+
+def _increasing(indices: np.ndarray) -> bool:
+    return indices.ndim == 1 and bool(np.all(indices[1:] > indices[:-1]))
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two index sets (``np.union1d``).
+
+    The compact ops record sorted duplicate-free index sets, so the union is
+    a linear merge of two sorted runs (a stable sort detects them) plus a
+    neighbour comparison, instead of re-sorting and de-duplicating the
+    concatenation from scratch.
+    """
+    if not (_increasing(a) and _increasing(b)):
+        return np.union1d(a, b)
+    merged = np.concatenate((a, b))
+    merged.sort(kind="stable")
+    keep = np.empty(len(merged), dtype=bool)
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
 
 
 class DirtyTracker:

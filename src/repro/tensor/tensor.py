@@ -93,6 +93,62 @@ def _adopt_or_copy(grad: np.ndarray, walk_owned: bool) -> np.ndarray:
     return grad.copy()
 
 
+class RowBlock:
+    """A compact gradient contribution: ``values`` at ``index`` of an
+    otherwise all-zero array shaped like the parent.
+
+    An op whose backward writes only a block of a large parameter (a loss
+    head's kept vocabulary rows) returns one instead of scattering into a
+    full-size zero buffer of its own.  :meth:`Tensor.backward` adds it
+    straight into the parameter's single walk-owned gradient buffer, so a
+    row block never leaves the accumulate step: every ``.grad`` and every
+    gradient handed to a backward function is a full array.
+
+    ``index`` is the basic/advanced selector of the block (``values`` has
+    the shape ``array[index]`` selects) and ``rows`` the first-axis indices
+    it covers, recorded as the buffer's dirty rows.
+    """
+
+    __slots__ = ("values", "index", "rows")
+
+    def __init__(self, values: np.ndarray, index: tuple, rows: np.ndarray):
+        self.values = values
+        self.index = index
+        self.rows = rows
+
+
+def _add_row_block(previous: np.ndarray | None, owned: bool,
+                   like: np.ndarray, piece: RowBlock) -> np.ndarray:
+    """``previous + piece`` as a walk-owned array shaped like ``like``.
+
+    ``previous`` is the gradient accumulated so far (``None`` for the first
+    contribution).  The sum is elementwise the one the dense path computes
+    (a zero buffer with the block scattered in, added to ``previous``), but
+    only the block's elements are touched: the first block lands in a fresh
+    lazily-zeroed buffer and later ones add into it in place.
+    """
+    if previous is None:
+        # A fresh buffer holds zeros, so the first block is assigned (the
+        # exact scatter the dense path makes) rather than read and added.
+        out = np.zeros(like.shape, dtype=like.dtype)
+        _dirty.record_reset(out)
+        out[piece.index] = piece.values
+    else:
+        dtype = np.result_type(previous, like)
+        if owned and previous.dtype == dtype:
+            out = previous
+        else:
+            out = previous.astype(dtype)
+            if _dirty.region_of(previous) is None:
+                _dirty.record_full(out)
+            else:
+                _dirty.propagate_alias(out, previous)
+        # Cast first, as the dense scatter into a ``like``-typed buffer did.
+        out[piece.index] += piece.values.astype(like.dtype, copy=False)
+    _dirty.record_rows(out, piece.rows)
+    return out
+
+
 def _as_array(value, dtype=np.float64) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -271,8 +327,13 @@ class Tensor:
                 contribution = backward_fn(node_grad)
                 if contribution is None:
                     continue
-                contribution = np.asarray(contribution)
                 key = id(parent)
+                if isinstance(contribution, RowBlock):
+                    grads[key] = _add_row_block(grads.get(key), key in owned,
+                                                parent.data, contribution)
+                    owned.add(key)
+                    continue
+                contribution = np.asarray(contribution)
                 if key in grads:
                     previous = grads[key]
                     if (key in owned

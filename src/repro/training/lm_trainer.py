@@ -17,6 +17,7 @@ from repro.nn.metrics import perplexity_from_loss
 from repro.nn.optim import ExponentialLR
 from repro.tensor import Tensor, no_grad
 from repro.training.history import TrainingHistory, TrainingResult
+from repro.training.trainer import check_finite_loss
 
 
 @dataclass
@@ -137,10 +138,12 @@ class LanguageModelTrainer:
         (:mod:`repro.heads`): the dense head reproduces the classic
         logits-then-cross-entropy path exactly, the sampled head never
         materialises full-vocabulary logits.  Evaluation (:meth:`evaluate`)
-        always goes through the exact dense logits.
+        always goes through the exact dense logits.  A non-finite loss raises
+        :class:`FloatingPointError` naming the step, before the update.
         """
         self.optimizer.zero_grad()
         loss, new_state = self.forward_backward(inputs, targets, state)
+        check_finite_loss(loss, self.optimizer)
         self.optimizer.step()
         return loss, new_state
 

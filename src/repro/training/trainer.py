@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -16,6 +17,18 @@ from repro.nn.losses import CrossEntropyLoss
 from repro.nn.metrics import accuracy
 from repro.tensor import Tensor, no_grad
 from repro.training.history import TrainingHistory, TrainingResult
+
+
+def check_finite_loss(loss: float, optimizer) -> None:
+    """Refuse the update a non-finite ``loss`` would poison the parameters with.
+
+    Called between backward and ``optimizer.step()``; only the scalar loss
+    is checked, so a healthy step pays one ``isfinite``.
+    """
+    if not math.isfinite(loss):
+        raise FloatingPointError(
+            f"training loss is {loss} at step {optimizer.step_count + 1}; "
+            f"the update was skipped and the parameters are unchanged")
 
 
 @dataclass
@@ -133,9 +146,14 @@ class ClassifierTrainer:
         )
 
     def train_step(self, images: np.ndarray, labels: np.ndarray) -> float:
-        """One SGD step; returns the batch loss."""
+        """One SGD step; returns the batch loss.
+
+        Raises :class:`FloatingPointError` naming the step, before the
+        update, when the loss is non-finite.
+        """
         self.optimizer.zero_grad()
         loss = self.forward_backward(images, labels)
+        check_finite_loss(loss, self.optimizer)
         self.optimizer.step()
         return loss
 

@@ -7,9 +7,14 @@ timer-noise dominated.  The speedup acceptance check lives in
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro.bench
 from repro.bench import BenchmarkConfig, run_benchmark, write_report
 from repro.bench.__main__ import main as bench_main, parse_args
 
@@ -455,6 +460,18 @@ class TestCLI:
         assert report["results"]
         printed = capsys.readouterr().out
         assert "speedup" in printed
+
+    def test_delta_module_runs_without_runpy_warning(self):
+        # Importing the package must not import the gate module: runpy
+        # warns when ``python -m repro.bench.delta`` finds it already loaded.
+        src = pathlib.Path(repro.bench.__file__).resolve().parents[2]
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.bench.delta",
+             "--help"], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 class TestE2EFamily:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.execution import EngineRuntime, ExecutionConfig
 from repro.models import LSTMConfig, LSTMLanguageModel, MLPClassifier, MLPConfig
 from repro.training import (
     ClassifierTrainer,
@@ -94,6 +95,26 @@ class TestClassifierTrainer:
         loss = trainer.train_step(tiny_mnist.train_images[:50], tiny_mnist.train_labels[:50])
         assert np.isfinite(loss)
 
+    @pytest.mark.parametrize("optimizer", ["dense", "sparse"])
+    def test_nan_batch_raises_before_the_update(self, tiny_mnist, optimizer):
+        model = MLPClassifier(MLPConfig(hidden_sizes=(48, 48),
+                                        drop_rates=(0.5, 0.5),
+                                        strategy="row", seed=0))
+        trainer = ClassifierTrainer(
+            model, tiny_mnist, ClassifierTrainingConfig(batch_size=50, seed=0),
+            runtime=EngineRuntime(ExecutionConfig(optimizer=optimizer,
+                                                  seed=0)))
+        images = tiny_mnist.train_images[:50]
+        labels = tiny_mnist.train_labels[:50]
+        trainer.train_step(images, labels)
+        before = [param.data.copy() for param in model.parameters()]
+        poisoned = images.copy()
+        poisoned[3, 5] = np.nan
+        with pytest.raises(FloatingPointError, match="at step 2"):
+            trainer.train_step(poisoned, labels)
+        for param, snapshot in zip(model.parameters(), before):
+            np.testing.assert_array_equal(param.data, snapshot)
+
     def test_eval_every_records_intermediate_points(self, tiny_mnist):
         model = MLPClassifier(MLPConfig(hidden_sizes=(32, 32), drop_rates=(0.3, 0.3),
                                         strategy="original", seed=0))
@@ -141,6 +162,20 @@ class TestLanguageModelTrainer:
         config = LanguageModelTrainingConfig(batch_size=5, seq_len=10, epochs=10,
                                              max_iterations=3)
         assert LanguageModelTrainer(model, tiny_corpus, config).train().iterations == 3
+
+    def test_non_finite_loss_raises_before_the_update(self, tiny_corpus):
+        trainer = self.make_trainer(tiny_corpus, strategy="row")
+        model = trainer.model
+        inputs = tiny_corpus.train[:60].reshape(12, 5)
+        targets = tiny_corpus.train[1:61].reshape(12, 5)
+        state = model.init_state(5)
+        # A NaN embedding row poisons every window that reads its token.
+        model.embedding.weight.data[inputs[0, 0]] = np.nan
+        before = [param.data.copy() for param in model.parameters()]
+        with pytest.raises(FloatingPointError, match="at step 1"):
+            trainer.train_step(inputs, targets, state)
+        for param, snapshot in zip(model.parameters(), before):
+            np.testing.assert_array_equal(param.data, snapshot)
 
     def test_evaluate_splits(self, tiny_corpus):
         trainer = self.make_trainer(tiny_corpus)
