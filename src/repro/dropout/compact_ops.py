@@ -30,9 +30,9 @@ All of them return ordinary :class:`~repro.tensor.Tensor` objects wired into
 the autodiff tape.
 
 Fast path: both ops accept an optional :class:`~repro.dropout.engine.CompactWorkspace`.
-When given, the zero-filled scatter buffers (full-size output, input/weight/bias
-gradients) are drawn from the workspace's preallocated ring instead of being
-allocated per step, and the tile op executes a compiled
+When given, the zero-filled scatter buffers (full-size output and input
+gradient; the tile ops' weight gradients too) are drawn from the workspace's
+preallocated ring instead of being allocated per step, and the tile op executes a compiled
 :class:`~repro.dropout.engine.TileExecutionPlan` (one fused GEMM per surviving
 tile-row, compact backward) instead of looping over individual tiles against a
 dense mask.  The numerical results are identical either way.
@@ -104,8 +104,10 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         aggressive pattern draw cannot blow up the activations.
     workspace:
         Optional :class:`CompactWorkspace` whose preallocated buffers are used
-        for the zero-filled scatter targets (see the buffer-reuse contract in
-        :mod:`repro.dropout.engine`).
+        for the zero-filled output and input-gradient scatter targets (see
+        the buffer-reuse contract in :mod:`repro.dropout.engine`).  The
+        weight and bias gradients are :class:`~repro.tensor.RowBlock`
+        contributions the tape adds into the parameter's gradient buffer.
     backend:
         Optional :class:`~repro.backends.ExecutionBackend` executing the
         gathers/GEMMs/allocations; the reference numpy backend when omitted.
@@ -162,26 +164,20 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
             grad_x = backend.gemm(grad_compact, weight_compact)
         return grad_x
 
-    def backward_weight(grad: np.ndarray) -> np.ndarray:
+    row_index = block_selector(kept_rows, None)
+    weight_index = (row_index if kept_cols is None
+                    else block_selector(kept_rows, kept_cols))
+
+    def backward_weight(grad: np.ndarray) -> RowBlock:
         grad_compact = backend.gather_cols(grad, kept_rows) * scale_factor
-        grad_weight = backend.zeros(workspace, "row_grad_w", weight.data.shape,
-                                    weight.data.dtype)
-        if kept_cols is not None:
-            backend.scatter_block(grad_weight, kept_rows, kept_cols,
-                                  backend.gemm(grad_compact.T, x_compact))
-        else:
-            backend.scatter_rows(grad_weight, kept_rows,
-                                 backend.gemm(grad_compact.T, x_compact))
-        return grad_weight
+        return RowBlock(backend.gemm(grad_compact.T, x_compact), weight_index,
+                        kept_rows)
 
     parents = [(x, backward_x), (weight, backward_weight)]
     if bias is not None:
-        def backward_bias(grad: np.ndarray) -> np.ndarray:
+        def backward_bias(grad: np.ndarray) -> RowBlock:
             grad_compact = backend.gather_cols(grad, kept_rows) * scale_factor
-            grad_bias = backend.zeros(workspace, "row_grad_b", bias.data.shape,
-                                      bias.data.dtype)
-            backend.scatter_rows(grad_bias, kept_rows, grad_compact.sum(axis=0))
-            return grad_bias
+            return RowBlock(grad_compact.sum(axis=0), row_index, kept_rows)
 
         parents.append((bias, backward_bias))
 
