@@ -25,7 +25,6 @@ runtimes never mix.
 from __future__ import annotations
 
 import abc
-import weakref
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -34,14 +33,6 @@ from repro.tensor import dirty as _dirty
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> backends)
     from repro.dropout.engine import CompactWorkspace, TileExecutionPlan
-
-
-#: Selectors of read-only index arrays, keyed by ``id`` next to a weak
-#: reference that tells a live entry from a recycled id.  Pattern and plan
-#: index sets are frozen and reused every step; a writable array may change
-#: under the same id, so it is never cached.
-_SELECTOR_CACHE: dict[int, tuple[weakref.ref, Any]] = {}
-_SELECTOR_CACHE_CAP = 4096
 
 
 def _slice_or_index(indices):
@@ -58,26 +49,12 @@ def _slice_or_index(indices):
     """
     if isinstance(indices, slice):
         return indices
-    cached = _SELECTOR_CACHE.get(id(indices))
-    if cached is not None and cached[0]() is indices:
-        return cached[1]
-    selector = _progression_slice(np.asarray(indices))
-    if isinstance(indices, np.ndarray) and not (
-            indices.flags.writeable or indices.base is not None):
-        if len(_SELECTOR_CACHE) >= _SELECTOR_CACHE_CAP:
-            _SELECTOR_CACHE.clear()
-        _SELECTOR_CACHE[id(indices)] = (weakref.ref(indices), selector)
-    return selector
-
-
-def _progression_slice(indices: np.ndarray):
+    indices = np.asarray(indices)
     if indices.ndim != 1 or indices.size < 2 or indices.dtype.kind not in "iu":
         return indices
     first, last = int(indices[0]), int(indices[-1])
-    if first < 0:
-        return indices
     span, gaps = last - first, indices.size - 1
-    if span <= 0 or span % gaps:
+    if first < 0 or span <= 0 or span % gaps:
         return indices
     step = span // gaps
     if (indices[1:] - indices[:-1] == step).all():

@@ -89,16 +89,6 @@ class TestSelector:
         indices = np.array(indices, dtype=np.int64)
         assert _slice_or_index(indices) is indices
 
-    def test_cached_selector_follows_the_array(self):
-        frozen = np.arange(0, 12, 3)
-        frozen.flags.writeable = False
-        assert _slice_or_index(frozen) == slice(0, 10, 3)
-        assert _slice_or_index(frozen) == slice(0, 10, 3)
-        writable = np.arange(0, 12, 3)
-        assert _slice_or_index(writable) == slice(0, 10, 3)
-        writable[1] = 4
-        assert _slice_or_index(writable) is writable
-
 
 @each_backend
 class TestGathers:
