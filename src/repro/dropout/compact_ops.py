@@ -32,10 +32,11 @@ the autodiff tape.
 Fast path: both ops accept an optional :class:`~repro.dropout.engine.CompactWorkspace`.
 When given, the zero-filled scatter buffers (full-size output and input
 gradient; the tile ops' weight gradients too) are drawn from the workspace's
-preallocated ring instead of being allocated per step, and the tile op executes a compiled
-:class:`~repro.dropout.engine.TileExecutionPlan` (one fused GEMM per surviving
-tile-row, compact backward) instead of looping over individual tiles against a
-dense mask.  The numerical results are identical either way.
+preallocated ring instead of being allocated per step, and the tile op
+executes a compiled :class:`~repro.dropout.engine.TileExecutionPlan` (one
+fused GEMM per surviving tile-row, compact backward) instead of looping over
+individual tiles against a dense mask.  The numerical results are identical
+either way.
 
 Backends: the numeric primitives — gathers, GEMMs, scatter-buffer allocation
 and the tile-plan loops — are routed through a pluggable
