@@ -82,7 +82,7 @@ def block_selector(row_indices, col_indices):
 #: Rows per chunk of a column-major gather copy.  Copying a row-major view
 #: into column-major memory transposes it; chunking keeps each chunk's reads
 #: and writes in cache (about 5x faster than one strided pass on a
-#: 23000 x 128 vocabulary band).
+#: 23000 x 128 float64 vocabulary band, measured on x86_64 with numpy 2.4).
 _F_COPY_ROWS = 128
 
 
