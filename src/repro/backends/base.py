@@ -45,7 +45,8 @@ def _slice_or_index(indices):
     regular strided memory access instead of a per-element index lookup.
     Anything else (fewer than two, descending, irregular, negative or
     non-integer indices, or a selector that already is a slice) is returned
-    as given.
+    as given.  Callers pass in-range indices: a slice clips where an
+    out-of-range fancy index would raise.
     """
     if isinstance(indices, slice):
         return indices
