@@ -12,14 +12,13 @@ accuracy/wall-clock comparison (on a box with fewer than ``shards + 1``
 cores the sharded run is expected to be slower — the win needs cores).
 
 Run with:  python examples/distributed_training.py [--shards 2] [--epochs 4]
-           [--backend stacked] [--optimizer sparse]
+           [--optimizer sparse]
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.backends import available_backends
 from repro.data import make_synthetic_mnist
 from repro.distributed import DistributedTrainer
 from repro.execution import EngineRuntime, ExecutionConfig
@@ -32,7 +31,7 @@ def build_trainer(args, data, shards: int):
                                     drop_rates=(args.rate, args.rate),
                                     strategy="row", seed=0))
     runtime = EngineRuntime(ExecutionConfig(
-        mode="pooled", backend=args.backend, optimizer=args.optimizer,
+        mode="pooled", optimizer=args.optimizer,
         seed=args.seed, shards=shards))
     config = ClassifierTrainingConfig(batch_size=args.batch, epochs=args.epochs,
                                       learning_rate=0.01, momentum=0.9, seed=3)
@@ -53,8 +52,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--test-samples", type=int, default=256)
     parser.add_argument("--seed", type=int, default=0,
                         help="pool-wide pattern seed (spawned per shard)")
-    parser.add_argument("--backend", default="numpy",
-                        choices=list(available_backends()))
     parser.add_argument("--optimizer", default="dense",
                         choices=["dense", "sparse"])
     args = parser.parse_args(argv)
@@ -66,7 +63,7 @@ def main(argv: list[str] | None = None) -> None:
                                 num_test=args.test_samples, seed=1)
     print(f"Training 784-{args.hidden}-{args.hidden}-10 MLP across "
           f"{args.shards} shards, {args.epochs} epochs "
-          f"(backend={args.backend}, optimizer={args.optimizer})\n")
+          f"(optimizer={args.optimizer})\n")
 
     first = build_trainer(args, data, args.shards).train()
     second = build_trainer(args, data, args.shards).train()

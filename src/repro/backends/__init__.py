@@ -1,95 +1,28 @@
-"""Pluggable execution backends of the compact pattern engine.
+"""The execution backend of the compact pattern engine.
 
 The compact dropout ops (:mod:`repro.dropout.compact_ops`) describe *what* to
 compute — gather the surviving rows/tiles, multiply, scatter back — and an
-:class:`ExecutionBackend` decides *how*.  Two backends ship:
+:class:`ExecutionBackend` executes it: one BLAS GEMM per gathered operand
+pair and per surviving tile-row group, with per-operation call counters.
 
-``"numpy"``
-    :class:`NumpyBackend`, the reference implementation: one BLAS GEMM per
-    gathered operand pair / per surviving tile-row group.
-``"fused"``
-    :class:`FusedBackend`: tile-row groups of a compiled
-    :class:`~repro.dropout.engine.TileExecutionPlan` that share an identical
-    column set are concatenated into single stacked GEMM calls, cutting the
-    Python-loop, gather and skinny-GEMM overhead of tile-pattern execution.
-``"fused-predict"``
-    ``fused`` with every class GEMM also dispatched through the
-    :mod:`repro.gpu` roofline model, accumulating predicted
-    accelerator time in its ``stats()["predicted_ms"]``.
-``"stacked"``
-    :class:`StackedBackend`: fused classes of equal kept-count (same shape,
-    different column sets) are stacked along a new axis and executed as one
-    batched 3-D GEMM — one interpreter round-trip, gather and ``matmul`` for
-    a whole family of tile-row classes.  The stacked index layouts are
-    cached per plan identity, so the pooled pattern stream's consecutive
-    steps replay them for free.  The gate-aligned recurrent DropConnect
-    plans, whose per-gate replication makes every family ``num_gates``
-    times deeper, benefit the most — through the plan-driven ops (the tile
-    layers, ``recurrent_compact_linear``, the ``lstm_rec`` bench family);
-    the LSTM unroll's per-window context path pre-gathers its blocks and
-    bypasses the plan entry points entirely (see ``backends/stacked.py``).
-
-Selection is by name through :class:`repro.execution.ExecutionConfig`
-(``backend="fused"``), which validates against this registry and whose
-:class:`~repro.execution.EngineRuntime` instantiates the backend and installs
-it on every pattern layer it binds.  Third-party backends plug in with::
-
-    from repro.backends import ExecutionBackend, register_backend
-
-    class MyBackend(ExecutionBackend): ...
-    register_backend("mine", MyBackend)
-
-after which ``ExecutionConfig(backend="mine")`` works everywhere (trainers,
-experiment drivers, ``python -m repro.bench --backend mine``).
+Each :class:`~repro.execution.EngineRuntime` owns one instance and installs
+it on every pattern layer it binds, so the counters of concurrent runtimes
+never mix; ops called without a runtime fall back to
+:func:`default_backend`.
 """
 
 from __future__ import annotations
 
 from repro.backends.base import ExecutionBackend
-from repro.backends.fused import FusedBackend
-from repro.backends.numpy_backend import NumpyBackend
-from repro.backends.registry import (
-    available_backends,
-    create_backend,
-    register_backend,
-    unregister_backend,
-)
-from repro.backends.stacked import StackedBackend
-
-def _fused_predict_factory() -> FusedBackend:
-    """``fused`` preconfigured to model each class GEMM on the paper's GPU.
-
-    The device spec is imported lazily so importing :mod:`repro.backends`
-    never drags in the :mod:`repro.gpu` layer.
-    """
-    from repro.gpu.device import GTX_1080TI
-
-    return FusedBackend(predict_device=GTX_1080TI)
-
-
-register_backend("numpy", NumpyBackend)
-register_backend("fused", FusedBackend)
-register_backend("fused-predict", _fused_predict_factory)
-register_backend("stacked", StackedBackend)
 
 #: Shared fallback instance used by compact ops called without a runtime
 #: (ad-hoc layer use, unit tests); runtimes always install their own instance.
-_DEFAULT_BACKEND = NumpyBackend()
+_DEFAULT_BACKEND = ExecutionBackend()
 
 
-def default_backend() -> NumpyBackend:
-    """The process-wide fallback :class:`NumpyBackend` instance."""
+def default_backend() -> ExecutionBackend:
+    """The process-wide fallback :class:`ExecutionBackend` instance."""
     return _DEFAULT_BACKEND
 
 
-__all__ = [
-    "ExecutionBackend",
-    "NumpyBackend",
-    "FusedBackend",
-    "StackedBackend",
-    "available_backends",
-    "create_backend",
-    "default_backend",
-    "register_backend",
-    "unregister_backend",
-]
+__all__ = ["ExecutionBackend", "default_backend"]

@@ -1,31 +1,24 @@
-"""Abstract execution-backend interface of the compact pattern engine.
+"""The execution backend of the compact pattern engine.
 
-An :class:`ExecutionBackend` owns the three numeric primitives the compact
-dropout ops are built from — dense GEMM on the gathered operands, compact
-gather/scatter of the surviving rows/columns, and scatter-buffer allocation —
-plus the execution of a whole compiled
+An :class:`ExecutionBackend` owns the numeric primitives the compact dropout
+ops are built from — dense GEMM on the gathered operands, compact
+gather/scatter of the surviving rows/columns, scatter-buffer allocation, the
+execution of a whole compiled
 :class:`~repro.dropout.engine.TileExecutionPlan` (forward and both backward
-passes).  The autodiff orchestration stays in
+passes, one GEMM per surviving tile-row group) and the per-class GEMMs of the
+recurrent window context.  The autodiff orchestration stays in
 :mod:`repro.dropout.compact_ops`: the ops build the tape and decide *what* to
-compute, the backend decides *how* the arrays are produced.  Swapping the
-backend therefore never changes semantics, only the execution strategy
-(per-group loops vs. batched stacked GEMMs vs., eventually, device kernels).
+compute, the backend produces the arrays.
 
-Every primitive increments a per-operation call counter (``self.calls``);
-:meth:`ExecutionBackend.stats` exposes the counters so
-:meth:`repro.execution.EngineRuntime.stats` can stamp per-backend call counts
-into the experiment records.
-
-Backends are instantiated through the registry
-(:func:`repro.backends.create_backend`), one instance per
-:class:`~repro.execution.EngineRuntime`, so the counters of concurrent
-runtimes never mix.
+Every primitive increments a per-operation call counter (``self.calls``),
+which :meth:`repro.execution.EngineRuntime.stats` reports as
+``backend_calls``.  Each :class:`~repro.execution.EngineRuntime` owns one
+instance, so the counters of concurrent runtimes never mix.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -125,33 +118,19 @@ def _operand_cols(array: np.ndarray, indices) -> np.ndarray:
     return _gather(array, (slice(None), selector), "F")
 
 
-class ExecutionBackend(abc.ABC):
-    """Numeric execution strategy behind the compact dropout ops.
+class ExecutionBackend:
+    """Numeric execution of the compact dropout ops.
 
-    Subclasses implement the GEMM/plan primitives; the shared base provides
-    workspace-aware buffer allocation, gather/scatter helpers and the
-    per-operation call counters.
+    Provides workspace-aware buffer allocation, gather/scatter helpers, the
+    GEMM and plan primitives, and the per-operation call counters.
     """
-
-    #: Registry name of the backend (set by subclasses).
-    name: str = "abstract"
 
     def __init__(self):
         self.calls: dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-    # call accounting
-    # ------------------------------------------------------------------
     def count(self, op: str, n: int = 1) -> None:
         """Record ``n`` executions of primitive ``op``."""
         self.calls[op] = self.calls.get(op, 0) + n
-
-    def reset_stats(self) -> None:
-        self.calls = {}
-
-    def stats(self) -> dict[str, Any]:
-        """Per-operation call counts (plus subclass extras) for diagnostics."""
-        return {"name": self.name, "calls": dict(self.calls)}
 
     # ------------------------------------------------------------------
     # workspace allocation
@@ -228,32 +207,52 @@ class ExecutionBackend(abc.ABC):
     # ------------------------------------------------------------------
     # GEMM primitives
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def gemm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Dense matrix product ``a @ b`` of the gathered compact operands."""
+        self.count("gemm")
+        return a @ b
 
     # ------------------------------------------------------------------
-    # tile-plan execution
+    # tile-plan execution (one GEMM per surviving tile-row group)
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def tile_forward(self, plan: "TileExecutionPlan", x: np.ndarray,
                      weight: np.ndarray, out: np.ndarray) -> None:
         """Fill ``out[:, row_start:row_stop]`` for every surviving tile-row.
 
-        ``out`` arrives zero-filled; dropped tile-rows must stay zero.
+        ``out`` arrives zero-filled; dropped tile-rows stay zero.
         """
+        self.count("tile_forward")
+        self.count("tile_group_gemm", len(plan.row_groups))
+        for group in plan.row_groups:
+            block = weight[group.row_start:group.row_stop, group.selector]
+            out[:, group.row_start:group.row_stop] = x[:, group.selector] @ block.T
 
-    @abc.abstractmethod
     def tile_backward_input(self, plan: "TileExecutionPlan", grad: np.ndarray,
                             weight: np.ndarray, grad_x: np.ndarray,
                             scale: float = 1.0) -> None:
         """Accumulate ``d loss / d x`` into the zero-filled ``grad_x``."""
+        self.count("tile_backward_input")
+        self.count("tile_group_gemm", len(plan.row_groups))
+        for group in plan.row_groups:
+            block = weight[group.row_start:group.row_stop, group.selector]
+            grad_compact = grad[:, group.row_start:group.row_stop]
+            if scale != 1.0:
+                grad_compact = grad_compact * scale
+            # += not =: tiles from different tile-rows may share columns.
+            grad_x[:, group.selector] += grad_compact @ block
 
-    @abc.abstractmethod
     def tile_backward_weight(self, plan: "TileExecutionPlan", grad: np.ndarray,
                              x: np.ndarray, grad_weight: np.ndarray,
                              scale: float = 1.0) -> None:
         """Write ``d loss / d W`` for the surviving tiles into ``grad_weight``."""
+        self.count("tile_backward_weight")
+        self.count("tile_group_gemm", len(plan.row_groups))
+        for group in plan.row_groups:
+            grad_compact = grad[:, group.row_start:group.row_stop]
+            if scale != 1.0:
+                grad_compact = grad_compact * scale
+            grad_weight[group.row_start:group.row_stop, group.selector] = (
+                grad_compact.T @ x[:, group.selector])
 
     # ------------------------------------------------------------------
     # window-context execution (per-class GEMMs on pre-gathered blocks)
@@ -262,21 +261,16 @@ class ExecutionBackend(abc.ABC):
     # The per-window recurrent context (`recurrent_compact_context`) gathers
     # the surviving weight tiles once per BPTT window into per-class blocks;
     # every timestep then runs one small GEMM per column class against those
-    # blocks.  These three primitives own that per-timestep loop, so backends
-    # can batch it (see StackedBackend) without the op changing shape.
-    # ``key`` is a hashable layout-cache key (the plan identity) — the class
-    # structure is a pure function of it, so layouts can be cached per key.
+    # blocks.
 
-    def context_forward(self, key, classes, blocks, h: np.ndarray,
-                        out: np.ndarray, scratch: dict | None = None) -> None:
+    def context_forward(self, classes, blocks, h: np.ndarray,
+                        out: np.ndarray) -> None:
         """Fill ``out[:, rows] = h[:, cols] @ block.T`` for every class.
 
         ``classes`` is a sequence of ``(row_indices, col_indices)`` pairs
         with disjoint row sets (so plain assignment is exact) and ``blocks``
         the matching pre-gathered ``(R, C)`` weight blocks.  ``out`` arrives
-        zero-filled.  ``scratch`` is the context's per-window dict: the
-        blocks are fixed for the window, so a backend may cache derived
-        layouts in it across timesteps (ignored by the reference loop).
+        zero-filled.
 
         Gate-aligned recurrent plans often keep *every* tile-row, so a
         class's row set is one contiguous run — selecting it as a slice
@@ -289,9 +283,8 @@ class ExecutionBackend(abc.ABC):
         for (rows, cols), block in zip(classes, blocks):
             out[:, _slice_or_index(rows)] = _gather_cols(h, cols) @ block.T
 
-    def context_backward_h(self, key, classes, blocks, grad: np.ndarray,
-                           grad_h: np.ndarray, scale: float = 1.0,
-                           scratch: dict | None = None) -> None:
+    def context_backward_h(self, classes, blocks, grad: np.ndarray,
+                           grad_h: np.ndarray, scale: float = 1.0) -> None:
         """Accumulate ``d loss / d h`` into the zero-filled ``grad_h``."""
         self.count("context_backward_h")
         self.count("context_gemm", len(classes))
@@ -302,8 +295,7 @@ class ExecutionBackend(abc.ABC):
             # += not =: different column classes may share some columns.
             grad_h[:, _slice_or_index(cols)] += grad_compact @ block
 
-    def context_backward_blocks(self, key, classes, grad: np.ndarray,
-                                h: np.ndarray,
+    def context_backward_blocks(self, classes, grad: np.ndarray, h: np.ndarray,
                                 scale: float = 1.0) -> list[np.ndarray]:
         """Per-class block gradients ``grad[:, rows].T @ h[:, cols]``, in
         class order (the caller flattens them back into the compact gather's
@@ -317,7 +309,3 @@ class ExecutionBackend(abc.ABC):
                 grad_compact = grad_compact * scale
             pieces.append(grad_compact.T @ _gather_cols(h, cols))
         return pieces
-
-    def __repr__(self) -> str:
-        total = sum(self.calls.values())
-        return f"{type(self).__name__}(name={self.name!r}, calls={total})"

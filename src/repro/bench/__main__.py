@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 
-from repro.backends import available_backends
 from repro.bench.harness import BenchmarkConfig, run_benchmark, write_report
 from repro.execution import LOSS_HEAD_MODES, OPTIMIZER_MODES, RECURRENT_MODES
 
@@ -52,9 +51,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--e2e-dtype", default="float64",
                         choices=["float64", "float32"],
                         help="floating dtype of the e2e trainer-step cases")
-    parser.add_argument("--backend", default="numpy",
-                        help="execution backend of the compact/pooled modes "
-                             "(see --list-backends)")
     parser.add_argument("--recurrent", default="tiled",
                         choices=list(RECURRENT_MODES),
                         help="recurrent-projection execution of the e2e LSTM "
@@ -70,8 +66,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                              "modes (sparse = the dirty-region SparseSGD, "
                              "bit-identical to dense; the masked baseline "
                              "always runs the dense update)")
-    parser.add_argument("--list-backends", action="store_true",
-                        help="print the registered execution backends and exit")
     parser.add_argument("--shards", type=int, default=1,
                         help="worker processes to shard the cases across "
                              "(one BLAS thread domain each)")
@@ -89,15 +83,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--quick", action="store_true",
                         help="small fast configuration (smoke testing)")
     args = parser.parse_args(argv)
-    # Fail fast in the CLI on unknown backends: validated here (not via
-    # argparse choices frozen at import) so plugin backends registered before
-    # parse_args are selectable, and the error names every registered one.
-    if not args.list_backends and args.backend not in available_backends():
-        parser.error(
-            f"unknown execution backend {args.backend!r}; registered backends: "
-            f"{', '.join(available_backends())} (see --list-backends)")
-    # Same treatment for families: the error names every valid family instead
-    # of argparse's terse choices dump, mirroring the backend behaviour.
+    # Unknown families fail fast with every valid family named, instead of
+    # argparse's terse choices dump.
     unknown = [family for family in args.families
                if family not in BenchmarkConfig.FAMILIES]
     if unknown:
@@ -109,15 +96,11 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
-    if args.list_backends:
-        for name in available_backends():
-            print(name)
-        return 0
     if args.quick:
         config = BenchmarkConfig(widths=(256,), rates=(0.5,), batch=32, steps=3,
                                  repeats=1, warmup=1, families=tuple(args.families),
                                  head_vocab=tuple(args.head_vocab),
-                                 e2e_dtype=args.e2e_dtype, backend=args.backend,
+                                 e2e_dtype=args.e2e_dtype,
                                  recurrent=args.recurrent,
                                  loss_head=args.loss_head,
                                  optimizer=args.optimizer,
@@ -132,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
                                  repeats=args.repeats, warmup=args.warmup,
                                  tile=args.tile, families=tuple(args.families),
                                  head_vocab=tuple(args.head_vocab),
-                                 e2e_dtype=args.e2e_dtype, backend=args.backend,
+                                 e2e_dtype=args.e2e_dtype,
                                  recurrent=args.recurrent,
                                  loss_head=args.loss_head,
                                  optimizer=args.optimizer,
@@ -143,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
                                  output=args.output)
     print("repro.bench — compact pattern-execution engine vs mask-based dropout")
     print(f"batch={config.batch} steps={config.steps} repeats={config.repeats} "
-          f"backend={config.backend} shards={config.shards} "
+          f"shards={config.shards} "
           f"(best repeat reported; per-step ms)\n")
     results = run_benchmark(config, verbose=True)
     path = write_report(results, config)

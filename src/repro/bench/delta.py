@@ -60,7 +60,6 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.backends import available_backends
 from repro.bench.harness import BenchmarkConfig, run_benchmark, write_report
 
 #: The acceptance cases gated by the delta check: (family, width, rate).
@@ -159,7 +158,6 @@ def _case_entries(entries: list[dict],
 def compare_reports(fresh: list[dict], baseline: list[dict],
                     threshold: float = DEFAULT_THRESHOLD,
                     cases: tuple[tuple[str, int, float], ...] = ACCEPTANCE_CASES,
-                    require_backend: str | None = None,
                     ) -> list[str]:
     """Failure messages for every gated case that regressed (empty = pass).
 
@@ -169,13 +167,6 @@ def compare_reports(fresh: list[dict], baseline: list[dict],
     missing from either side also fails, so the gate cannot rot silently.
     Malformed entries raise a :class:`ValueError` naming the offending report
     and fields instead of a raw ``KeyError``.
-
-    ``require_backend`` asserts which backend the *fresh* entries were
-    measured with — used when gating a pre-computed ``--fresh`` report, where
-    a report produced with a different ``--backend`` would otherwise be
-    compared silently.  (The *baseline* side is deliberately not constrained:
-    gating an accelerated backend against the committed numpy baseline is the
-    intended use.)
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
@@ -193,25 +184,6 @@ def compare_reports(fresh: list[dict], baseline: list[dict],
         if fresh_entry is None:
             failures.append(f"{label}: missing from the fresh run")
             continue
-        if require_backend is not None:
-            fresh_backend = fresh_entry.get("backend")
-            if fresh_backend is None:
-                # An entry with no backend field is ambiguous — failing loudly
-                # beats gating the wrong backend's measurements silently.
-                failures.append(
-                    f"{label}: the fresh report entry does not record which "
-                    f"backend it measured; the gate expects a "
-                    f"{require_backend!r} measurement (regenerate the report "
-                    f"with `python -m repro.bench --backend "
-                    f"{require_backend}`)")
-                continue
-            if fresh_backend != require_backend:
-                failures.append(
-                    f"{label}: backend mismatch — the gate expected a fresh "
-                    f"{require_backend!r} measurement but the report entry ran "
-                    f"{fresh_backend!r} (re-run the fresh report with "
-                    f"--backend {require_backend})")
-                continue
         committed = float(baseline_entry["speedup_pooled"])
         measured = float(fresh_entry["speedup_pooled"])
         floor = (1.0 - threshold) * committed
@@ -453,16 +425,14 @@ def adaptive_failures(entries: list[dict],
     return failures
 
 
-def quick_acceptance_config(backend: str = "numpy") -> BenchmarkConfig:
+def quick_acceptance_config() -> BenchmarkConfig:
     """A reduced configuration that still measures the acceptance case.
 
     Only the sweep is reduced (one width, one rate); the per-case protocol
     (steps/warmup/repeats) matches the committed full run, because a lighter
     protocol measures systematically lower speedups (cold BLAS threads, page
     faults in the masked baseline's fresh allocations) and would trip the gate
-    without any real regression.  ``backend`` selects the execution backend of
-    the fresh measurement — ``--backend fused`` gates the fused backend
-    against the committed ``numpy`` baseline (it must be at least as fast).
+    without any real regression.
     """
     full = BenchmarkConfig()
     return BenchmarkConfig(widths=(2048,), rates=(0.7,), batch=full.batch,
@@ -474,8 +444,7 @@ def quick_acceptance_config(backend: str = "numpy") -> BenchmarkConfig:
                            # sprouts one head_vocab case per entry, and the
                            # default 8192 point would double the dense
                            # baseline's cost without being gated.
-                           head_vocab=(50_000,),
-                           backend=backend)
+                           head_vocab=(50_000,))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -504,32 +473,21 @@ def main(argv: list[str] | None = None) -> int:
                              "recovery cycle (default 30s; only enforced "
                              "when the entry's recorded cpu_count >= "
                              "shards + 1)")
-    parser.add_argument("--backend", default="numpy",
-                        help="execution backend of the fresh measurement "
-                             "(gate an accelerated backend against the "
-                             "committed numpy baseline)")
     parser.add_argument("--write-fresh", default=None, metavar="PATH",
                         help="also write the freshly measured acceptance "
                              "report to PATH (for CI artifacts); requires a "
                              "measured run, i.e. incompatible with --fresh")
     args = parser.parse_args(argv)
-    if args.backend not in available_backends():
-        parser.error(
-            f"unknown execution backend {args.backend!r}; registered backends: "
-            f"{', '.join(available_backends())}")
     if args.write_fresh is not None and args.fresh is not None:
         parser.error("--write-fresh requires a measured run; it cannot be "
                      "combined with a pre-computed --fresh report")
 
     baseline = load_report(args.baseline)
     if args.fresh is not None:
-        # A pre-computed fresh report must actually have been measured with
-        # the backend being gated — compare_reports checks per gated entry.
         fresh_entries = load_report(args.fresh)["results"]
     else:
-        print("repro.bench.delta — quick re-measurement of the acceptance case "
-              f"(backend={args.backend})")
-        config = quick_acceptance_config(args.backend)
+        print("repro.bench.delta — quick re-measurement of the acceptance case")
+        config = quick_acceptance_config()
         results = run_benchmark(config, verbose=True)
         fresh_entries = [result.to_dict() for result in results]
         if args.write_fresh is not None:
@@ -537,8 +495,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"fresh acceptance report written to {path}")
 
     failures = compare_reports(fresh_entries, baseline["results"],
-                               threshold=args.threshold,
-                               require_backend=args.backend)
+                               threshold=args.threshold)
     scaling, skips = scaling_failures(fresh_entries,
                                       min_scaling=args.min_scaling)
     for skip in skips:

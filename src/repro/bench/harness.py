@@ -46,12 +46,6 @@ LSTM case's recurrent projections through the pattern machinery, and
 CLI) selects the loss head the LSTM case's compact/pooled modes train with —
 the ``masked`` baseline always runs the dense head.
 
-Backends: ``BenchmarkConfig.backend`` selects the
-:class:`~repro.backends.ExecutionBackend` the compact/pooled modes execute
-through (``--backend fused`` on the CLI), so every family compares the
-conventional ``masked`` baseline against the chosen backend — run the
-harness once per backend to compare ``numpy`` vs ``fused`` per mode.
-
 The ``e2e_dist`` family measures *data-parallel scaling*: it times one MLP
 trainer step ``single`` (in-process, ``shards=1``) against ``sharded`` (the
 :class:`~repro.distributed.DistributedTrainer` coordinator driving
@@ -107,7 +101,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends import available_backends, create_backend
+from repro.backends import ExecutionBackend
 from repro.dropout.compact_ops import row_compact_linear, tile_compact_linear
 from repro.dropout.engine import CompactWorkspace, compile_tile_plan
 from repro.dropout.patterns import RowDropoutPattern, TileDropoutPattern
@@ -151,8 +145,6 @@ class BenchmarkConfig:
                                  "e2e_dist", "e2e_elastic")
     #: Floating dtype of the e2e trainer-step cases ("float64" or "float32").
     e2e_dtype: str = "float64"
-    #: Execution backend of the compact/pooled modes (registry name).
-    backend: str = "numpy"
     #: Recurrent-projection execution of the e2e LSTM case's compact/pooled
     #: modes ("dense" keeps the pre-PR behaviour, "tiled" runs the recurrent
     #: DropConnect site).  The ``lstm_rec`` family always times the tiled op.
@@ -199,10 +191,6 @@ class BenchmarkConfig:
             raise ValueError("dist_shards must be >= 2 (the e2e_dist case "
                              "compares single-process against that many "
                              "data-parallel workers)")
-        if self.backend not in available_backends():
-            raise ValueError(
-                f"unknown execution backend {self.backend!r}; "
-                f"available: {available_backends()}")
         from repro.execution import (
             LOSS_HEAD_MODES,
             OPTIMIZER_MODES,
@@ -243,8 +231,6 @@ class BenchmarkResult:
     rate: float
     steps: int
     repeats: int
-    #: Execution backend the compact/pooled modes ran through.
-    backend: str = "numpy"
     #: Recurrent-projection execution of the case (None = not applicable).
     recurrent: str | None = None
     #: Loss-head execution of the case (None = not applicable).
@@ -308,7 +294,6 @@ class BenchmarkResult:
             "rate": self.rate,
             "steps": self.steps,
             "repeats": self.repeats,
-            "backend": self.backend,
             "recurrent": self.recurrent,
             "loss_head": self.loss_head,
             "optimizer": self.optimizer,
@@ -399,7 +384,7 @@ def _bench_row_case(config: BenchmarkConfig, width: int, rate: float,
     sequence = _shared_pattern_sequence(sampler, width,
                                         config.steps + config.warmup)
     masked_seq, compact_seq, pooled_seq = _Cycle(sequence), _Cycle(sequence), None
-    backend = create_backend(config.backend)
+    backend = ExecutionBackend()
 
     def masked_step():
         _zero_grads(x, weight, bias)
@@ -431,7 +416,7 @@ def _bench_row_case(config: BenchmarkConfig, width: int, rate: float,
     phases = np.array([b for _, b in sequence])
     result = BenchmarkResult(family="row", width=width, in_features=in_features,
                              batch=config.batch, rate=rate, steps=config.steps,
-                             repeats=config.repeats, backend=config.backend,
+                             repeats=config.repeats,
                              keep_fraction=float(
                                  row_keep_counts(width, periods, phases).mean() / width))
     result.mode_ms = _timed_modes(
@@ -454,7 +439,7 @@ def _bench_tile_case(config: BenchmarkConfig, width: int, rate: float,
     sequence = _shared_pattern_sequence(sampler, reference.num_tiles,
                                         config.steps + config.warmup)
     masked_seq, compact_seq = _Cycle(sequence), _Cycle(sequence)
-    backend = create_backend(config.backend)
+    backend = ExecutionBackend()
 
     def masked_step():
         _zero_grads(x, weight, bias)
@@ -484,7 +469,7 @@ def _bench_tile_case(config: BenchmarkConfig, width: int, rate: float,
 
     result = BenchmarkResult(family="tile", width=width, in_features=in_features,
                              batch=config.batch, rate=rate, steps=config.steps,
-                             repeats=config.repeats, backend=config.backend,
+                             repeats=config.repeats,
                              keep_fraction=float(np.mean(
                                  [plan.compact_flops_fraction
                                   for plan in (compile_tile_plan(p)
@@ -531,7 +516,7 @@ def _bench_lstm_rec_case(config: BenchmarkConfig, width: int, rate: float,
     sequence = _shared_pattern_sequence(sampler, reference.num_tiles,
                                         config.steps + config.warmup)
     masked_seq, compact_seq = _Cycle(sequence), _Cycle(sequence)
-    backend = create_backend(config.backend)
+    backend = ExecutionBackend()
 
     def masked_step():
         _zero_grads(h, weight)
@@ -564,7 +549,7 @@ def _bench_lstm_rec_case(config: BenchmarkConfig, width: int, rate: float,
     result = BenchmarkResult(family="lstm_rec", width=width,
                              in_features=in_features, batch=config.batch,
                              rate=rate, steps=config.steps,
-                             repeats=config.repeats, backend=config.backend,
+                             repeats=config.repeats,
                              recurrent="tiled",
                              keep_fraction=float(np.mean(
                                  [compile_recurrent_plan(p).compact_flops_fraction
@@ -600,7 +585,7 @@ def _bench_head_case(config: BenchmarkConfig, width: int, rate: float,
     sequence = _shared_pattern_sequence(sampler, width,
                                         config.steps + config.warmup)
     masked_seq, compact_seq = _Cycle(sequence), _Cycle(sequence)
-    backend = create_backend(config.backend)
+    backend = ExecutionBackend()
 
     def masked_step():
         _zero_grads(x, weight, bias)
@@ -635,7 +620,7 @@ def _bench_head_case(config: BenchmarkConfig, width: int, rate: float,
     result = BenchmarkResult(family="head", width=width,
                              in_features=in_features, batch=config.batch,
                              rate=rate, steps=config.steps,
-                             repeats=config.repeats, backend=config.backend,
+                             repeats=config.repeats,
                              loss_head="sampled",
                              keep_fraction=float(np.mean(kept_counts) / width))
     result.mode_ms = _timed_modes(
@@ -689,7 +674,7 @@ def _bench_head_vocab_case(config: BenchmarkConfig, vocab: int, rate: float,
     sampler.result  # run the one-time distribution search outside the timers
     sequence = _shared_pattern_sequence(sampler, vocab,
                                         config.steps + config.warmup)
-    backend = create_backend(config.backend)
+    backend = ExecutionBackend()
 
     def masked_step():
         _zero_grads(x, weight, bias)
@@ -725,7 +710,7 @@ def _bench_head_vocab_case(config: BenchmarkConfig, vocab: int, rate: float,
     result = BenchmarkResult(family="head_vocab", width=vocab,
                              in_features=hidden, batch=config.batch,
                              rate=rate, steps=steps, repeats=repeats,
-                             backend=config.backend, loss_head="adaptive",
+                             loss_head="adaptive",
                              vocab=vocab)
     result.mode_ms = _timed_modes(
         {"masked": masked_step, "compact": sampled_step,
@@ -768,7 +753,6 @@ def _e2e_runtime(mode: str, config: BenchmarkConfig):
     loss_head = "dense" if mode == "masked" else config.loss_head
     optimizer = "dense" if mode == "masked" else config.optimizer
     return EngineRuntime(ExecutionConfig(mode=mode, dtype=config.e2e_dtype,
-                                         backend=config.backend,
                                          recurrent=recurrent,
                                          loss_head=loss_head,
                                          loss_head_rate=max(config.rates),
@@ -805,7 +789,6 @@ def _bench_e2e_mlp_case(config: BenchmarkConfig,
     result = BenchmarkResult(family="e2e_mlp", width=hidden,
                              in_features=data.num_features, batch=batch,
                              rate=rate, steps=config.steps, repeats=config.repeats,
-                             backend=config.backend,
                              optimizer=config.optimizer)
     result.mode_ms = _timed_modes(step_fns, config.steps, config.warmup,
                                   config.repeats)
@@ -854,7 +837,7 @@ def _bench_e2e_lstm_case(config: BenchmarkConfig,
 
     result = BenchmarkResult(family="e2e_lstm", width=hidden, in_features=vocab,
                              batch=batch, rate=rate, steps=config.steps,
-                             repeats=config.repeats, backend=config.backend,
+                             repeats=config.repeats,
                              recurrent=config.recurrent,
                              loss_head=config.loss_head,
                              optimizer=config.optimizer)
@@ -897,7 +880,7 @@ def _bench_e2e_dist_case(config: BenchmarkConfig,
             num_classes=data.num_classes, drop_rates=(rate, rate),
             strategy="row", seed=config.seed))
         runtime = EngineRuntime(ExecutionConfig(
-            mode="pooled", dtype=config.e2e_dtype, backend=config.backend,
+            mode="pooled", dtype=config.e2e_dtype,
             optimizer=config.optimizer, seed=config.seed, shards=shards))
         return model, runtime
 
@@ -913,7 +896,7 @@ def _bench_e2e_dist_case(config: BenchmarkConfig,
     result = BenchmarkResult(family="e2e_dist", width=hidden,
                              in_features=data.num_features, batch=batch,
                              rate=rate, steps=config.steps,
-                             repeats=config.repeats, backend=config.backend,
+                             repeats=config.repeats,
                              optimizer=config.optimizer,
                              shards=config.dist_shards,
                              cpu_count=os.cpu_count(),
@@ -966,7 +949,7 @@ def _bench_e2e_elastic_case(config: BenchmarkConfig,
         num_classes=data.num_classes, drop_rates=(rate, rate),
         strategy="row", seed=config.seed))
     runtime = EngineRuntime(ExecutionConfig(
-        mode="pooled", dtype=config.e2e_dtype, backend=config.backend,
+        mode="pooled", dtype=config.e2e_dtype,
         optimizer=config.optimizer, seed=config.seed,
         shards=config.dist_shards))
     trainer = DistributedTrainer(model, data, train_config, runtime=runtime)
@@ -974,7 +957,7 @@ def _bench_e2e_elastic_case(config: BenchmarkConfig,
     result = BenchmarkResult(family="e2e_elastic", width=hidden,
                              in_features=data.num_features, batch=batch,
                              rate=rate, steps=config.steps,
-                             repeats=config.repeats, backend=config.backend,
+                             repeats=config.repeats,
                              optimizer=config.optimizer,
                              shards=config.dist_shards,
                              cpu_count=os.cpu_count(),
@@ -1031,7 +1014,7 @@ def _bench_serve_case(config: BenchmarkConfig, kind: str,
     concurrency = config.serve_concurrency
     rate = max(config.rates)
     exec_config = ExecutionConfig(
-        mode="pooled", dtype=config.e2e_dtype, backend=config.backend,
+        mode="pooled", dtype=config.e2e_dtype,
         recurrent=config.recurrent, seed=config.seed,
         serve_max_batch=concurrency)
     runtime = EngineRuntime(exec_config)
@@ -1112,7 +1095,7 @@ def _bench_serve_case(config: BenchmarkConfig, kind: str,
     result = BenchmarkResult(family=kind, width=width,
                              in_features=in_features, batch=concurrency,
                              rate=rate, steps=len(requests), repeats=1,
-                             backend=config.backend, recurrent=recurrent,
+                             recurrent=recurrent,
                              cpu_count=os.cpu_count(),
                              cpu_gated=(os.cpu_count() or 1) < 2)
     result.mode_ms = {"masked": masked.mean_ms, "pooled": pooled.mean_ms}
@@ -1249,8 +1232,7 @@ def run_benchmark(config: BenchmarkConfig | None = None,
 def _format_row(result: BenchmarkResult) -> str:
     modes = "  ".join(f"{mode}={ms:8.3f}ms"
                       for mode, ms in result.mode_ms.items())
-    return (f"[{result.family:8s}] width={result.width:5d} rate={result.rate:.2f} "
-            f"backend={result.backend}  "
+    return (f"[{result.family:8s}] width={result.width:5d} rate={result.rate:.2f}  "
             f"{modes}  speedup(pooled)={result.speedup_pooled:5.2f}x")
 
 
@@ -1278,7 +1260,6 @@ def write_report(results: list[BenchmarkResult], config: BenchmarkConfig,
             "families": list(config.families),
             "head_vocab": list(config.head_vocab),
             "e2e_dtype": config.e2e_dtype,
-            "backend": config.backend,
             "recurrent": config.recurrent,
             "loss_head": config.loss_head,
             "optimizer": config.optimizer,

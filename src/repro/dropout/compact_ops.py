@@ -38,13 +38,12 @@ fused GEMM per surviving tile-row, compact backward) instead of looping over
 individual tiles against a dense mask.  The numerical results are identical
 either way.
 
-Backends: the numeric primitives — gathers, GEMMs, scatter-buffer allocation
-and the tile-plan loops — are routed through a pluggable
-:class:`~repro.backends.ExecutionBackend` (``backend=`` on every op).  The
-ops own the autodiff orchestration and the backend owns the array execution
-strategy, so swapping ``numpy`` for an accelerated backend never changes the
-tape structure or the results.  When no backend is passed, the process-wide
-reference :func:`~repro.backends.default_backend` is used;
+Backend: the numeric primitives — gathers, GEMMs, scatter-buffer allocation
+and the tile-plan loops — are routed through an
+:class:`~repro.backends.ExecutionBackend` (``backend=`` on every op), which
+counts every call.  The ops own the autodiff orchestration and the backend
+owns the array execution.  When no backend is passed, the process-wide
+:func:`~repro.backends.default_backend` is used;
 :meth:`repro.execution.EngineRuntime.bind` installs its own instance on every
 pattern layer instead.
 """
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.backends import ExecutionBackend, default_backend
 from repro.backends.base import block_selector
@@ -111,7 +110,8 @@ def row_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         contributions the tape adds into the parameter's gradient buffer.
     backend:
         Optional :class:`~repro.backends.ExecutionBackend` executing the
-        gathers/GEMMs/allocations; the reference numpy backend when omitted.
+        gathers/GEMMs/allocations; :func:`~repro.backends.default_backend`
+        when omitted.
 
     Returns
     -------
@@ -214,9 +214,8 @@ def tile_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         process-wide) from ``pattern`` when omitted.
     backend:
         Optional :class:`~repro.backends.ExecutionBackend` executing the
-        plan's GEMMs; the reference numpy backend loops one GEMM per
-        surviving tile-row group, the ``fused`` backend batches same-shape
-        groups into stacked GEMM calls.
+        plan's GEMMs (one per surviving tile-row group);
+        :func:`~repro.backends.default_backend` when omitted.
 
     Returns
     -------
@@ -363,10 +362,6 @@ class RecurrentWindowContext:
     classes: tuple   # (row_indices, col_indices) pairs, disjoint row sets
     compact: Tensor  # flat differentiable gather of the surviving weights
     blocks: tuple    # per-class 2-D numpy views into ``compact.data``
-    #: Per-window backend scratch: the blocks are fixed for the window, so a
-    #: backend may stash derived layouts here (e.g. the stacked backend's
-    #: 3-D block arrays) and reuse them across the unroll's timesteps.
-    scratch: dict = field(default_factory=dict)
 
 
 def recurrent_compact_context(weight: Tensor, pattern: RecurrentTilePattern,
@@ -473,11 +468,7 @@ def recurrent_context_linear(h: Tensor, context: RecurrentWindowContext,
     backend = backend or default_backend()
     dtype = np.result_type(h.data, context.compact.data)
     out = backend.zeros(None, "rec_ctx_out", (h.shape[0], plan.rows), dtype)
-    # The per-class GEMM loop is a backend primitive (keyed on the plan
-    # identity) so accelerated backends can batch equal-shape classes — the
-    # stacked backend runs them as one 3-D np.matmul per shape family.
-    backend.context_forward(plan.identity, context.classes, context.blocks,
-                            h.data, out, scratch=context.scratch)
+    backend.context_forward(context.classes, context.blocks, h.data, out)
     if scale_factor != 1.0:
         out *= scale_factor
 
@@ -498,13 +489,12 @@ def recurrent_context_linear(h: Tensor, context: RecurrentWindowContext,
 
     def backward_h(grad: np.ndarray) -> np.ndarray:
         grad_h = backend.zeros(None, "rec_ctx_grad_h", h.data.shape, h.data.dtype)
-        backend.context_backward_h(plan.identity, context.classes,
-                                   context.blocks, _scaled(grad), grad_h,
-                                   scratch=context.scratch)
+        backend.context_backward_h(context.classes, context.blocks,
+                                   _scaled(grad), grad_h)
         return grad_h
 
     def backward_compact(grad: np.ndarray) -> np.ndarray:
-        pieces = backend.context_backward_blocks(plan.identity, context.classes,
+        pieces = backend.context_backward_blocks(context.classes,
                                                  _scaled(grad), h.data)
         return (np.concatenate([piece.ravel() for piece in pieces]) if pieces
                 else np.zeros(0, dtype=context.compact.data.dtype))
@@ -607,8 +597,8 @@ def head_compact_linear(x: Tensor, weight: Tensor, bias: Tensor | None,
         Optional :class:`CompactWorkspace` for the input-gradient scatter
         buffer (used with ``input_pattern``).
     backend:
-        Optional :class:`~repro.backends.ExecutionBackend`; the reference
-        numpy backend when omitted.
+        Optional :class:`~repro.backends.ExecutionBackend`;
+        :func:`~repro.backends.default_backend` when omitted.
 
     Returns
     -------

@@ -82,9 +82,9 @@ class TileExecutionPlan:
     row_groups: tuple[TileRowGroup, ...]
     #: Plan family: ``"tile"`` (a generic TDP pattern) or ``"recurrent"`` (a
     #: gate-aligned :class:`~repro.dropout.patterns.RecurrentTilePattern`
-    #: replicated per gate block).  Part of the plan identity — backends key
-    #: their layout caches on it so two structurally different plans with the
-    #: same ``(rows, cols, dp, bias, tile)`` never share a cached layout.
+    #: replicated per gate block).  Part of the plan identity — the per-plan
+    #: caches key on it so two structurally different plans with the same
+    #: ``(rows, cols, dp, bias, tile)`` never share a cached layout.
     kind: str = "tile"
 
     @property
@@ -188,8 +188,8 @@ def compile_recurrent_plan(pattern) -> TileExecutionPlan:
     :class:`~repro.dropout.patterns.RecurrentTilePattern`.
 
     The per-gate TDP plan is compiled once and replicated with a row offset
-    per gate block, so every gate's tile-row groups share identical column
-    sets — the structure the ``fused``/``stacked`` backends exploit.
+    per gate block, so the gates' tile-row groups share identical column
+    sets (see :func:`plan_column_classes`).
     """
     return _compile_recurrent_plan(pattern.hidden_size, pattern.num_gates,
                                    pattern.dp, pattern.bias, pattern.tile)
@@ -201,37 +201,12 @@ def recurrent_plan_cache_info():
 
 
 # ----------------------------------------------------------------------
-# column-class decomposition (shared by window-context ops and backends)
+# column-class decomposition (used by the recurrent window context)
 # ----------------------------------------------------------------------
 
-_COLUMN_GROUP_CACHE: dict[tuple, tuple] = {}
-_COLUMN_GROUP_CACHE_CAP = 65536
-
-
-def plan_column_groups(plan: TileExecutionPlan,
-                       ) -> tuple[tuple[TileRowGroup, ...], ...]:
-    """Partition a plan's tile-row groups by identical column set.
-
-    This is the **single definition** of the column-class structure both the
-    fused/stacked backends (concatenated/batched class GEMMs) and the
-    per-window recurrent context (one weight gather per class) build on —
-    one partition per distinct column set, in first-appearance order, with
-    the member groups' (disjoint) row ranges preserved.  Cached per plan
-    identity (plans are interned, so the cache stays small).
-    """
-    key = plan.identity
-    partitions = _COLUMN_GROUP_CACHE.get(key)
-    if partitions is None:
-        if len(_COLUMN_GROUP_CACHE) >= _COLUMN_GROUP_CACHE_CAP:
-            _COLUMN_GROUP_CACHE.clear()
-        by_cols: dict[bytes, list[TileRowGroup]] = {}
-        for group in plan.row_groups:
-            by_cols.setdefault(np.asarray(group.col_indices).tobytes(),
-                               []).append(group)
-        partitions = _COLUMN_GROUP_CACHE[key] = tuple(
-            tuple(groups) for groups in by_cols.values())
-    return partitions
-
+#: Safety cap of the per-plan-identity caches below (plans are interned, so
+#: in practice they hold a few dozen entries).
+_PLAN_CACHE_CAP = 65536
 
 _COLUMN_CLASS_CACHE: dict[tuple, tuple] = {}
 
@@ -240,22 +215,25 @@ def plan_column_classes(plan: TileExecutionPlan) -> tuple[tuple[np.ndarray, np.n
     """Group a plan's tile-row groups by identical column set.
 
     Returns ``(row_indices, col_indices)`` pairs — one per distinct column
-    set, with the member groups' row ranges concatenated (they are disjoint
-    by construction).  Derived from :func:`plan_column_groups`, so the
-    recurrent window context and the fused backend always agree on the
-    class structure; cached per plan identity like the partition itself.
+    set, in first-appearance order, with the member groups' row ranges
+    concatenated (they are disjoint by construction).  The per-window
+    recurrent context gathers one weight block per class.  Cached per plan
+    identity (plans are interned, so the cache stays small).
     """
     key = plan.identity
     classes = _COLUMN_CLASS_CACHE.get(key)
     if classes is None:
-        if len(_COLUMN_CLASS_CACHE) >= _COLUMN_GROUP_CACHE_CAP:
+        if len(_COLUMN_CLASS_CACHE) >= _PLAN_CACHE_CAP:
             _COLUMN_CLASS_CACHE.clear()
-        built = []
-        for groups in plan_column_groups(plan):
-            rows = _freeze(np.concatenate([np.arange(g.row_start, g.row_stop)
-                                           for g in groups]))
-            built.append((rows, groups[0].col_indices))
-        classes = _COLUMN_CLASS_CACHE[key] = tuple(built)
+        by_cols: dict[bytes, list[TileRowGroup]] = {}
+        for group in plan.row_groups:
+            by_cols.setdefault(np.asarray(group.col_indices).tobytes(),
+                               []).append(group)
+        classes = _COLUMN_CLASS_CACHE[key] = tuple(
+            (_freeze(np.concatenate([np.arange(g.row_start, g.row_stop)
+                                     for g in groups])),
+             groups[0].col_indices)
+            for groups in by_cols.values())
     return classes
 
 
@@ -276,7 +254,7 @@ def plan_row_indices(plan: TileExecutionPlan) -> np.ndarray:
     key = plan.identity
     rows = _PLAN_ROW_CACHE.get(key)
     if rows is None:
-        if len(_PLAN_ROW_CACHE) >= _COLUMN_GROUP_CACHE_CAP:
+        if len(_PLAN_ROW_CACHE) >= _PLAN_CACHE_CAP:
             _PLAN_ROW_CACHE.clear()
         if plan.row_groups:
             rows = np.concatenate([np.arange(g.row_start, g.row_stop)

@@ -34,9 +34,10 @@ both normally set by :meth:`repro.execution.EngineRuntime.bind`.  Under
 the baseline the compact modes are benchmarked against.  ``use_workspace``
 toggles the :class:`~repro.dropout.engine.CompactWorkspace` scatter-buffer
 reuse of the pooled engine.  The GEMM layers additionally carry a
-``backend`` slot (an :class:`~repro.backends.ExecutionBackend`, installed by
-the runtime from ``ExecutionConfig.backend``) through which their compact
-ops execute; ``None`` falls back to the reference numpy backend.
+``backend`` slot (the runtime's :class:`~repro.backends.ExecutionBackend`,
+installed by :meth:`~repro.execution.EngineRuntime.bind`) through which their
+compact ops execute; ``None`` falls back to
+:func:`~repro.backends.default_backend`.
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ class ApproxRandomDropoutLinear(Module):
         self.execution_mode = "compact"
         self.use_workspace = True
         #: Execution backend of the compact ops (set by EngineRuntime.bind;
-        #: None = the reference numpy backend).
+        #: None = the process-wide default backend).
         self.backend = None
         self._forwards_since_pattern = 0
         if self.drop_rate > 0.0:
@@ -420,7 +421,7 @@ class ApproxDropConnectLinear(Module):
         self.execution_mode = "compact"
         self.use_workspace = True
         #: Execution backend of the compact ops (set by EngineRuntime.bind;
-        #: None = the reference numpy backend).
+        #: None = the process-wide default backend).
         self.backend = None
         self._forwards_since_pattern = 0
         if self.drop_rate > 0.0:
@@ -546,7 +547,7 @@ class ApproxRecurrentDropConnect(Module):
         self.pattern: RecurrentTilePattern | None = None
         self.execution_mode = "compact"
         #: Execution backend of the compact op (set by EngineRuntime.bind;
-        #: None = the reference numpy backend).
+        #: None = the process-wide default backend).
         self.backend = None
         # Cross-window weight-tile context cache, driven by the sparse
         # optimizer's dirty notifications (see install_context_cache).  Off

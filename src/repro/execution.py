@@ -38,20 +38,13 @@ regardless of how the layers' own generators were created.  Pass
 ``seed=None`` to keep each layer's original stream (the pre-runtime
 behaviour).
 
-Dtype / backend
----------------
+Dtype
+-----
 
 ``dtype`` selects the floating dtype of the hot path ("float64" or
 "float32"); binding a runtime casts the model parameters in place and the
 trainers cast their input batches, and the mask/compact machinery keeps the
-chosen dtype end to end.  ``backend`` selects the
-:class:`~repro.backends.ExecutionBackend` that executes the compact GEMMs
-behind the same :class:`~repro.dropout.engine.TileExecutionPlan` /
-:class:`~repro.dropout.engine.CompactWorkspace` objects: ``"numpy"`` is the
-reference per-group implementation, ``"fused"`` batches same-shape tile
-GEMMs into stacked 3-D GEMM calls, and further backends can be plugged in
-through :func:`repro.backends.register_backend`.  Validation consults the
-registry, so unknown names fail fast with the list of available backends.
+chosen dtype end to end.
 
 Loss head
 ---------
@@ -77,7 +70,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.backends import ExecutionBackend, available_backends, create_backend
+from repro.backends import ExecutionBackend
 from repro.dropout.engine import CompactWorkspace, tile_plan_cache_info
 from repro.dropout.patterns import pattern_cache_info
 from repro.dropout.sampler import PatternSchedule, is_pattern_site
@@ -190,10 +183,6 @@ class ExecutionConfig:
         module docstring).
     dtype:
         Floating dtype of the hot path: ``"float64"`` or ``"float32"``.
-    backend:
-        Execution backend selector, validated against the
-        :mod:`repro.backends` registry (``"numpy"`` and ``"fused"`` ship;
-        see :func:`repro.backends.available_backends`).
     recurrent:
         Recurrent-projection execution: ``"dense"`` (the default — the LSTM
         ``weight_h`` GEMM stays dense, the pre-existing behaviour) or
@@ -274,7 +263,6 @@ class ExecutionConfig:
 
     mode: str = "pooled"
     dtype: str = "float64"
-    backend: str = "numpy"
     recurrent: str = "dense"
     loss_head: str = "dense"
     loss_head_rate: float = 0.5
@@ -294,12 +282,7 @@ class ExecutionConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Check every field, consulting the backend registry for ``backend``.
-
-        Called automatically at construction; exposed so long-lived configs
-        can be re-checked after the registry changed (e.g. a plugin backend
-        was unregistered).
-        """
+        """Check every field; called automatically at construction."""
         if self.mode not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown execution mode {self.mode!r}; available: {EXECUTION_MODES}")
@@ -307,10 +290,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"unknown execution dtype {self.dtype!r}; "
                 f"available: {tuple(EXECUTION_DTYPES)}")
-        if self.backend not in available_backends():
-            raise ValueError(
-                f"unknown execution backend {self.backend!r}; "
-                f"available: {available_backends()}")
         if self.recurrent not in RECURRENT_MODES:
             raise ValueError(
                 f"unknown recurrent execution {self.recurrent!r}; "
@@ -362,7 +341,7 @@ class ExecutionConfig:
         """One-line human-readable summary (used in formatted table output)."""
         seed = "-" if self.seed is None else self.seed
         shards = f" shards={self.shards}" if self.shards != 1 else ""
-        return (f"mode={self.mode} dtype={self.dtype} backend={self.backend} "
+        return (f"mode={self.mode} dtype={self.dtype} "
                 f"recurrent={self.recurrent} head={self.loss_head} "
                 f"opt={self.optimizer} seed={seed}{shards} pool={self.pool_size}")
 
@@ -397,7 +376,7 @@ class EngineRuntime:
         self.config = config or ExecutionConfig()
         #: The runtime's private backend instance — one per runtime, so the
         #: per-backend call counters of concurrent runtimes never mix.
-        self.backend: ExecutionBackend = create_backend(self.config.backend)
+        self.backend = ExecutionBackend()
         self._plan_baseline = tile_plan_cache_info()
         self._pattern_baseline = pattern_cache_info()
         #: The most recent bind only; earlier runs' counters are folded into
@@ -693,7 +672,6 @@ class EngineRuntime:
         return {
             "mode": config.mode,
             "dtype": config.dtype,
-            "backend": config.backend,
             "recurrent": config.recurrent,
             "loss_head": {"kind": config.loss_head,
                           "rate": config.loss_head_rate,

@@ -8,6 +8,8 @@ waiting), executes them as **one** pooled
 the per-request results back to their futures.  Batching converts many
 GEMV-shaped single-request forwards into one GEMM-shaped batched forward —
 the throughput and tail-latency win the ``serve`` benchmark family measures.
+A batch of several requests that raises is re-run one request at a time, so
+a malformed request fails only its own future, never its neighbours'.
 
 Two entry points share the same queue: the thread-safe :meth:`MicroBatcher.submit`
 (returns a :class:`concurrent.futures.Future`; what the bench driver and any
@@ -122,25 +124,35 @@ class MicroBatcher:
         running = True
         while running:
             batch, running = self._collect()
-            if not batch:
-                continue
-            requests = [request for request, _ in batch]
-            try:
-                outputs = self.engine.infer_requests(requests)
-            except BaseException as error:  # noqa: BLE001 - fan the error out
-                for _, future in batch:
-                    try:
-                        future.set_exception(error)
-                    except InvalidStateError:
-                        pass  # request cancelled while queued
-                continue
-            self.batches_formed += 1
-            self.requests_served += len(batch)
-            for (_, future), output in zip(batch, outputs):
+            if batch:
+                self._serve(batch)
+
+    def _serve(self, batch: list) -> None:
+        """Execute ``batch`` as one engine step and resolve its futures.
+
+        If a batch of several requests raises, each request is re-run alone,
+        so only the requests that fail on their own get an exception.
+        """
+        try:
+            outputs = self.engine.infer_requests(
+                [request for request, _ in batch])
+        except Exception as error:  # noqa: BLE001 - resolve, keep serving
+            if len(batch) > 1:
+                for item in batch:
+                    self._serve([item])
+            else:
                 try:
-                    future.set_result(output)
+                    batch[0][1].set_exception(error)
                 except InvalidStateError:
                     pass  # request cancelled while queued
+            return
+        self.batches_formed += 1
+        self.requests_served += len(batch)
+        for (_, future), output in zip(batch, outputs):
+            try:
+                future.set_result(output)
+            except InvalidStateError:
+                pass  # request cancelled while queued
 
     # ------------------------------------------------------------------
     # lifecycle

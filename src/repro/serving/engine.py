@@ -21,9 +21,8 @@ compiles its forward pass into a flat numpy program **once**:
 
 The program replicates the eval-mode forward arithmetic operation for
 operation (same ufuncs applied in the same order), so engine outputs are
-**bit-identical** to a plain eval-mode ``forward()`` on every execution
-backend — evaluation GEMMs are dense, which all registered backends share
-with the reference backend.  LM inference ends in the head's exact dense
+**bit-identical** to a plain eval-mode ``forward()`` — evaluation GEMMs are
+dense.  LM inference ends in the head's exact dense
 ``logits()`` path (the same one ``forward()`` uses in eval mode), so served
 predictions are never approximated whichever loss head trained the model.
 
@@ -343,6 +342,10 @@ class InferenceEngine:
         ``(len(request), vocab)`` logits of its own (unpadded) positions —
         padding rides at the sequence tail, so a causal left-to-right unroll
         never lets it influence a request's real positions.
+
+        A malformed batch raises instead of answering: MLP requests that are
+        not equal-length 1-D vectors or that hold non-finite values raise
+        ``ValueError``, LM token ids outside ``[0, vocab)`` ``IndexError``.
         """
         if not requests:
             return []
@@ -357,6 +360,11 @@ class InferenceEngine:
             return [shaped[:lengths[column], column].copy()
                     for column in range(len(requests))]
         stacked = np.stack([np.asarray(request) for request in requests])
+        if stacked.ndim != 2:
+            raise ValueError(f"MLP requests must be 1-D feature vectors, got "
+                             f"shape {stacked.shape[1:]}")
+        if not np.isfinite(stacked).all():
+            raise ValueError("MLP request holds non-finite values")
         outputs = self.infer(stacked)
         return [outputs[row].copy() for row in range(len(requests))]
 

@@ -2,7 +2,7 @@
 
 ``_slice_or_index`` turns an ascending arithmetic progression (the kept set
 of a regular row pattern) into a strided slice.  Every gather and scatter
-primitive of every registered backend must give byte-for-byte the result of
+primitive of the execution backend must give byte-for-byte the result of
 plain numpy fancy indexing on the same index set, whatever its shape:
 strided, contiguous, irregular, descending, or of length 0, 1 or 2.
 Gathers must also return fresh arrays that never alias their source, in the
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backends import available_backends, create_backend
+from repro.backends import ExecutionBackend
 from repro.backends.base import _slice_or_index
 
 ROWS, COLS = 13, 11
@@ -70,10 +70,9 @@ def _rows_before(grad: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return grad[:, rows]
 
 
-#: Backend instances are stateless apart from their call counters, so one
-#: per registered name serves every example.
-BACKENDS = {name: create_backend(name) for name in available_backends()}
-each_backend = pytest.mark.parametrize("name", sorted(BACKENDS))
+#: The backend is stateless apart from its call counters, so one instance
+#: serves every example.
+BACKEND = ExecutionBackend()
 
 
 class TestSelector:
@@ -90,70 +89,61 @@ class TestSelector:
         assert _slice_or_index(indices) is indices
 
 
-@each_backend
 class TestGathers:
     @settings(max_examples=40, deadline=None)
     @given(rows=index_sets(ROWS), seed=st.integers(0, 2**16))
-    def test_gather_rows(self, name, rows, seed):
-        backend = BACKENDS[name]
+    def test_gather_rows(self, rows, seed):
         source = _source(seed)
-        _assert_fresh_gather(backend.gather_rows(source, rows), source[rows],
+        _assert_fresh_gather(BACKEND.gather_rows(source, rows), source[rows],
                              source)
 
     @settings(max_examples=40, deadline=None)
     @given(cols=index_sets(COLS), seed=st.integers(0, 2**16))
-    def test_gather_cols(self, name, cols, seed):
-        backend = BACKENDS[name]
+    def test_gather_cols(self, cols, seed):
         source = _source(seed)
-        _assert_fresh_gather(backend.gather_cols(source, cols),
+        _assert_fresh_gather(BACKEND.gather_cols(source, cols),
                              source[:, cols], source)
 
     @settings(max_examples=40, deadline=None)
     @given(rows=index_sets(ROWS), cols=index_sets(COLS),
            seed=st.integers(0, 2**16))
-    def test_gather_block(self, name, rows, cols, seed):
-        backend = BACKENDS[name]
+    def test_gather_block(self, rows, cols, seed):
         source = _source(seed)
         # Laid out as the row-then-column gather it replaces in the ops.
-        _assert_fresh_gather(backend.gather_block(source, rows, cols),
+        _assert_fresh_gather(BACKEND.gather_block(source, rows, cols),
                              source[rows][:, cols], source)
 
 
-@each_backend
 class TestScatters:
     @settings(max_examples=40, deadline=None)
     @given(rows=index_sets(ROWS), seed=st.integers(0, 2**16))
-    def test_scatter_rows(self, name, rows, seed):
-        backend = BACKENDS[name]
+    def test_scatter_rows(self, rows, seed):
         values = _source(seed)[:len(rows)]
         out, expected = np.zeros((ROWS, COLS)), np.zeros((ROWS, COLS))
-        backend.scatter_rows(out, rows, values)
+        BACKEND.scatter_rows(out, rows, values)
         expected[rows] = values
         assert out.tobytes() == expected.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(cols=index_sets(COLS), seed=st.integers(0, 2**16))
-    def test_scatter_cols(self, name, cols, seed):
-        backend = BACKENDS[name]
+    def test_scatter_cols(self, cols, seed):
         values = _source(seed)[:, :len(cols)]
         out, expected = np.zeros((ROWS, COLS)), np.zeros((ROWS, COLS))
-        backend.scatter_cols(out, cols, values)
+        BACKEND.scatter_cols(out, cols, values)
         expected[:, cols] = values
         assert out.tobytes() == expected.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(rows=index_sets(ROWS), cols=index_sets(COLS),
            seed=st.integers(0, 2**16))
-    def test_scatter_block(self, name, rows, cols, seed):
-        backend = BACKENDS[name]
+    def test_scatter_block(self, rows, cols, seed):
         values = _source(seed)[:len(rows), :len(cols)]
         out, expected = np.zeros((ROWS, COLS)), np.zeros((ROWS, COLS))
-        backend.scatter_block(out, rows, cols, values)
+        BACKEND.scatter_block(out, rows, cols, values)
         expected[np.ix_(rows, cols)] = values
         assert out.tobytes() == expected.tobytes()
 
 
-@each_backend
 class TestContextOps:
     """The window-context primitives select ``h[:, cols]`` and accumulate
     ``grad_h[:, cols]`` through the same selectors."""
@@ -161,9 +151,7 @@ class TestContextOps:
     @settings(max_examples=40, deadline=None)
     @given(rows=index_sets(ROWS), cols=index_sets(COLS),
            seed=st.integers(0, 2**16))
-    def test_context_primitives_match_fancy_indexing(self, name, rows,
-                                                     cols, seed):
-        backend = BACKENDS[name]
+    def test_context_primitives_match_fancy_indexing(self, rows, cols, seed):
         rng = np.random.default_rng(seed)
         h = rng.standard_normal((4, COLS))
         grad = rng.standard_normal((4, ROWS))
@@ -171,17 +159,15 @@ class TestContextOps:
         classes = ((rows, cols),)
 
         out, expected = np.zeros((4, ROWS)), np.zeros((4, ROWS))
-        backend.context_forward(("ctx", seed), classes, (block,), h, out)
+        BACKEND.context_forward(classes, (block,), h, out)
         expected[:, rows] = h[:, cols] @ block.T
         assert out.tobytes() == expected.tobytes()
 
         grad_h, expected_h = np.zeros_like(h), np.zeros_like(h)
-        backend.context_backward_h(("ctx", seed), classes, (block,), grad,
-                                   grad_h, scale=0.5)
+        BACKEND.context_backward_h(classes, (block,), grad, grad_h, scale=0.5)
         expected_h[:, cols] += (_rows_before(grad, rows) * 0.5) @ block
         assert grad_h.tobytes() == expected_h.tobytes()
 
-        (piece,) = backend.context_backward_blocks(("ctx", seed), classes,
-                                                   grad, h, scale=0.5)
+        (piece,) = BACKEND.context_backward_blocks(classes, grad, h, scale=0.5)
         expected_piece = (_rows_before(grad, rows) * 0.5).T @ h[:, cols]
         assert piece.tobytes() == expected_piece.tobytes()

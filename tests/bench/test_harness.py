@@ -31,7 +31,7 @@ def serve_entry(family="serve_mlp", width=2048, *, cpu_gated=False,
                 p99_pooled=25.0, rps_pooled=700.0, **overrides):
     """A gate-passing serve report entry (pooled dominates the baseline)."""
     record = {"family": family, "width": width, "rate": 0.7,
-              "speedup_pooled": 2.5, "backend": "numpy",
+              "speedup_pooled": 2.5,
               "cpu_count": 1 if cpu_gated else 8, "cpu_gated": cpu_gated,
               "serving": {"masked": {"p99_ms": 80.0, "throughput_rps": 250.0},
                           "pooled": {"p99_ms": p99_pooled,
@@ -259,7 +259,7 @@ class TestAdaptiveGate:
     @staticmethod
     def entry(speedup=1.7, **overrides):
         record = {"family": "head_vocab", "width": 50000, "rate": 0.7,
-                  "speedup_pooled": speedup, "backend": "numpy"}
+                  "speedup_pooled": speedup}
         record.update(overrides)
         return record
 
@@ -294,7 +294,7 @@ class TestAdaptiveGate:
 
         def base(family, width=2048):
             return {"family": family, "width": width, "rate": 0.7,
-                    "speedup_pooled": 4.0, "backend": "numpy"}
+                    "speedup_pooled": 4.0}
 
         results = [base("row"), base("tile"), base("head"),
                    self.entry(speedup=1.7), base("e2e_lstm", width=256)]
@@ -353,51 +353,6 @@ class TestOptimizerToggle:
         assert min(max(config.widths) // 2, 256) == 256
         assert 0.7 in config.rates
         assert config.optimizer == "sparse"
-
-
-class TestBackendSelection:
-    def test_unknown_backend_fails_fast(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            BenchmarkConfig(backend="cuda")
-
-    def test_cli_unknown_backend_fails_fast_with_names(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            bench_main(["--backend", "cuda"])
-        assert excinfo.value.code == 2  # argparse usage error, not a traceback
-        err = capsys.readouterr().err
-        assert "unknown execution backend 'cuda'" in err
-        assert "numpy" in err and "stacked" in err
-
-    def test_cli_list_backends(self, capsys):
-        assert bench_main(["--list-backends"]) == 0
-        printed = capsys.readouterr().out.split()
-        assert "numpy" in printed and "fused" in printed and "stacked" in printed
-
-    def test_stacked_backend_runs_plan_families(self):
-        config = tiny_config(backend="stacked", families=("tile", "lstm_rec"))
-        results = run_benchmark(config)
-        assert [r.family for r in results] == ["tile", "lstm_rec"]
-        for result in results:
-            assert result.backend == "stacked"
-            assert set(result.mode_ms) == {"masked", "compact", "pooled"}
-
-    def test_fused_backend_runs_all_families(self):
-        config = tiny_config(backend="fused")
-        results = run_benchmark(config)
-        assert [r.family for r in results] == ["row", "tile"]
-        for result in results:
-            assert result.backend == "fused"
-            assert set(result.mode_ms) == {"masked", "compact", "pooled"}
-            assert result.to_dict()["backend"] == "fused"
-
-    def test_cli_backend_flag(self, tmp_path):
-        output = str(tmp_path / "bench.json")
-        assert bench_main(["--quick", "--families", "row",
-                           "--backend", "fused", "--output", output]) == 0
-        with open(output) as handle:
-            report = json.load(handle)
-        assert report["config"]["backend"] == "fused"
-        assert all(entry["backend"] == "fused" for entry in report["results"])
 
 
 class TestSharding:
@@ -502,9 +457,9 @@ class TestDeltaCheck:
     """The CI regression gate comparing fresh vs committed speedups."""
 
     @staticmethod
-    def entry(family="row", width=2048, rate=0.7, speedup=4.0, backend="numpy"):
+    def entry(family="row", width=2048, rate=0.7, speedup=4.0):
         return {"family": family, "width": width, "rate": rate,
-                "speedup_pooled": speedup, "backend": backend}
+                "speedup_pooled": speedup}
 
     def test_no_regression_passes(self):
         from repro.bench import compare_reports
@@ -606,7 +561,7 @@ class TestDeltaCheck:
 
 class TestDeltaReportMismatches:
     """Satellite: clear, tested errors when the fresh and committed reports
-    disagree on backend or case set (instead of a raw KeyError)."""
+    disagree on the case set (instead of a raw KeyError)."""
 
     entry = staticmethod(TestDeltaCheck.entry)
 
@@ -619,42 +574,6 @@ class TestDeltaReportMismatches:
             compare_reports(bad, good)
         with pytest.raises(ValueError, match="baseline report entry"):
             compare_reports(good, bad)
-
-    def test_backend_mismatch_fails_with_clear_message(self):
-        from repro.bench import compare_reports
-
-        baseline = [self.entry(), self.entry("tile"), self.entry("head"),
-                    self.entry("head_vocab", width=50000),
-                    self.entry("e2e_lstm", width=256)]
-        fresh = [self.entry(backend="numpy"), self.entry("tile", backend="numpy"),
-                 self.entry("head", backend="numpy"),
-                 self.entry("head_vocab", width=50000, backend="numpy"),
-                 self.entry("e2e_lstm", width=256, backend="numpy")]
-        # Gating the fused backend against a fresh report that was actually
-        # measured with numpy must fail loudly, not compare silently.
-        failures = compare_reports(fresh, baseline, require_backend="fused")
-        assert len(failures) == 5
-        assert all("backend mismatch" in f for f in failures)
-        assert compare_reports(fresh, baseline, require_backend="numpy") == []
-
-    def test_fresh_entry_without_backend_field_fails_the_gate(self):
-        from repro.bench import compare_reports
-
-        baseline = [self.entry(), self.entry("tile"), self.entry("head"),
-                    self.entry("head_vocab", width=50000),
-                    self.entry("e2e_lstm", width=256)]
-        fresh = [{k: v for k, v in self.entry(family, width=width).items()
-                  if k != "backend"}
-                 for family, width in (("row", 2048), ("tile", 2048),
-                                       ("head", 2048), ("head_vocab", 50000),
-                                       ("e2e_lstm", 256))]
-        # A pre-backend-era report cannot prove which backend it measured:
-        # the gate must refuse it rather than compare silently.
-        failures = compare_reports(fresh, baseline, require_backend="stacked")
-        assert len(failures) == 5
-        assert all("does not record which backend" in f for f in failures)
-        # Without a backend requirement (in-library use) it still compares.
-        assert compare_reports(fresh, baseline) == []
 
     def test_case_set_disagreement_lists_every_missing_case(self):
         from repro.bench import compare_reports
@@ -673,30 +592,6 @@ class TestDeltaReportMismatches:
         path.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(ValueError, match="not a benchmark report"):
             load_report(str(path))
-
-    def test_cli_fresh_report_with_wrong_backend_fails(self, tmp_path, capsys):
-        from repro.bench.delta import main as delta_main
-
-        baseline = {"results": [self.entry(), self.entry("tile"),
-                                self.entry("head")]}
-        fresh = {"results": [dict(self.entry(family), backend="numpy")
-                             for family in ("row", "tile", "head")]}
-        baseline_path = tmp_path / "baseline.json"
-        fresh_path = tmp_path / "fresh.json"
-        baseline_path.write_text(json.dumps(baseline))
-        fresh_path.write_text(json.dumps(fresh))
-        assert delta_main(["--baseline", str(baseline_path),
-                           "--fresh", str(fresh_path),
-                           "--backend", "fused"]) == 1
-        assert "backend mismatch" in capsys.readouterr().out
-
-    def test_cli_unknown_backend_fails_fast(self, capsys):
-        from repro.bench.delta import main as delta_main
-
-        with pytest.raises(SystemExit) as excinfo:
-            delta_main(["--backend", "cuda"])
-        assert excinfo.value.code == 2
-        assert "unknown execution backend" in capsys.readouterr().err
 
     def test_cli_write_fresh_incompatible_with_fresh(self, tmp_path, capsys):
         from repro.bench.delta import main as delta_main
@@ -830,7 +725,7 @@ class TestScalingGate:
 
         def base(family, width=2048):
             return {"family": family, "width": width, "rate": 0.7,
-                    "speedup_pooled": 4.0, "backend": "numpy"}
+                    "speedup_pooled": 4.0}
 
         baseline = {"results": [base("row"), base("tile"), base("head"),
                                 base("head_vocab", width=50000),
@@ -838,8 +733,7 @@ class TestScalingGate:
         fresh = {"results": [base("row"), base("tile"), base("head"),
                              base("head_vocab", width=50000),
                              base("e2e_lstm", width=256),
-                             dict(self.entry(speedup=0.4, cpu_count=1),
-                                  backend="numpy"),
+                             self.entry(speedup=0.4, cpu_count=1),
                              dict(base("e2e_elastic", width=512),
                                   shards=2, cpu_count=1,
                                   mode_ms={"step": 50.0,

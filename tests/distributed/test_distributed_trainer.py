@@ -35,14 +35,13 @@ def history_of(result):
 
 
 def run_mlp(tiny_mnist, shards, *, exec_seed=11, optimizer="dense",
-            backend="numpy", distributed=True, max_iterations=None):
+            distributed=True, max_iterations=None):
     model = MLPClassifier(MLPConfig(
         input_size=tiny_mnist.num_features, hidden_sizes=(24, 24),
         num_classes=tiny_mnist.num_classes, drop_rates=(0.5, 0.5),
         strategy="row", seed=0))
     runtime = EngineRuntime(ExecutionConfig(
-        mode="pooled", seed=exec_seed, shards=shards, optimizer=optimizer,
-        backend=backend))
+        mode="pooled", seed=exec_seed, shards=shards, optimizer=optimizer))
     config = ClassifierTrainingConfig(batch_size=64, epochs=2, seed=3,
                                       max_iterations=max_iterations)
     if distributed:
@@ -53,14 +52,13 @@ def run_mlp(tiny_mnist, shards, *, exec_seed=11, optimizer="dense",
 
 
 def run_lstm(tiny_corpus, shards, *, exec_seed=11, optimizer="dense",
-             backend="numpy", recurrent="dense", loss_head="dense",
-             distributed=True):
+             recurrent="dense", loss_head="dense", distributed=True):
     model = LSTMLanguageModel(LSTMConfig(
         vocab_size=tiny_corpus.vocab_size, embed_size=12, hidden_size=16,
         num_layers=2, drop_rates=(0.5, 0.5), strategy="row", seed=0))
     runtime = EngineRuntime(ExecutionConfig(
         mode="pooled", seed=exec_seed, shards=shards, optimizer=optimizer,
-        backend=backend, recurrent=recurrent, loss_head=loss_head,
+        recurrent=recurrent, loss_head=loss_head,
         head_shortlist=12 if loss_head == "adaptive" else 0))
     config = LanguageModelTrainingConfig(batch_size=10, seq_len=20, epochs=2,
                                          seed=3)
@@ -108,9 +106,9 @@ class TestShardedDeterminism:
         second = run_mlp(tiny_mnist, shards=2, optimizer="sparse")
         assert history_of(first) == history_of(second)
 
-    def test_mlp_three_shards_stacked(self, tiny_mnist):
-        first = run_mlp(tiny_mnist, shards=3, backend="stacked")
-        second = run_mlp(tiny_mnist, shards=3, backend="stacked")
+    def test_mlp_three_shards(self, tiny_mnist):
+        first = run_mlp(tiny_mnist, shards=3)
+        second = run_mlp(tiny_mnist, shards=3)
         assert history_of(first) == history_of(second)
         assert first.engine_stats["distributed"]["shards"] == 3
 
@@ -132,11 +130,11 @@ class TestShardedDeterminism:
         second = run_lstm(tiny_corpus, shards=2, loss_head="adaptive")
         assert history_of(first) == history_of(second)
 
-    def test_lstm_two_shards_sparse_stacked_tiled(self, tiny_corpus):
+    def test_lstm_two_shards_sparse_tiled(self, tiny_corpus):
         first = run_lstm(tiny_corpus, shards=2, optimizer="sparse",
-                         backend="stacked", recurrent="tiled")
+                         recurrent="tiled")
         second = run_lstm(tiny_corpus, shards=2, optimizer="sparse",
-                          backend="stacked", recurrent="tiled")
+                          recurrent="tiled")
         assert history_of(first) == history_of(second)
 
 

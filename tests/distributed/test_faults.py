@@ -2,10 +2,10 @@
 
 Every fault run is compared bit-for-bit against an uninterrupted baseline with
 the same seed and shard count — the elastic contract is that recovery is
-invisible in the training history.  The trainer/optimizer/backend matrix is
-covered pairwise (each trainer with each optimizer, each backend appearing
-with both trainers) rather than exhaustively: the fault machinery never
-branches on the combination, so pairwise coverage exercises every code path.
+invisible in the training history.  The trainer/optimizer matrix is covered
+pairwise (each trainer with each optimizer) rather than exhaustively: the
+fault machinery never branches on the combination, so pairwise coverage
+exercises every code path.
 
 The LSTM runs cover both recurrent paths: ``recurrent="dense"`` and the
 tiled-recurrent site.  The tiled path caches worker-side context state, but
@@ -49,27 +49,26 @@ def history_of(result):
     return (result.history.train_loss, result.history.eval_metric)
 
 
-def make_mlp(tiny_mnist, *, optimizer="dense", backend="numpy",
-             policy=FaultPolicy()):
+def make_mlp(tiny_mnist, *, optimizer="dense", policy=FaultPolicy()):
     model = MLPClassifier(MLPConfig(
         input_size=tiny_mnist.num_features, hidden_sizes=(24, 24),
         num_classes=tiny_mnist.num_classes, drop_rates=(0.5, 0.5),
         strategy="row", seed=0))
     runtime = EngineRuntime(ExecutionConfig(
         mode="pooled", seed=11, shards=2, optimizer=optimizer,
-        backend=backend, fault_policy=policy))
+        fault_policy=policy))
     config = ClassifierTrainingConfig(batch_size=64, epochs=2, seed=3)
     return DistributedTrainer(model, tiny_mnist, config, runtime=runtime)
 
 
-def make_lstm(tiny_corpus, *, optimizer="dense", backend="numpy",
-              recurrent="dense", policy=FaultPolicy()):
+def make_lstm(tiny_corpus, *, optimizer="dense", recurrent="dense",
+              policy=FaultPolicy()):
     model = LSTMLanguageModel(LSTMConfig(
         vocab_size=tiny_corpus.vocab_size, embed_size=12, hidden_size=16,
         num_layers=2, drop_rates=(0.5, 0.5), strategy="row", seed=0))
     runtime = EngineRuntime(ExecutionConfig(
         mode="pooled", seed=11, shards=2, optimizer=optimizer,
-        backend=backend, recurrent=recurrent, fault_policy=policy))
+        recurrent=recurrent, fault_policy=policy))
     config = LanguageModelTrainingConfig(batch_size=10, seq_len=20, epochs=2,
                                          seed=3)
     return DistributedTrainer(model, tiny_corpus, config, runtime=runtime)
@@ -81,13 +80,13 @@ def baseline_mlp_dense(tiny_mnist):
 
 
 @pytest.fixture(scope="module")
-def baseline_mlp_sparse_stacked(tiny_mnist):
-    return make_mlp(tiny_mnist, optimizer="sparse", backend="stacked").train()
+def baseline_mlp_sparse(tiny_mnist):
+    return make_mlp(tiny_mnist, optimizer="sparse").train()
 
 
 @pytest.fixture(scope="module")
-def baseline_lstm_dense_stacked(tiny_corpus):
-    return make_lstm(tiny_corpus, backend="stacked").train()
+def baseline_lstm_dense(tiny_corpus):
+    return make_lstm(tiny_corpus).train()
 
 
 @pytest.fixture(scope="module")
@@ -152,24 +151,20 @@ class TestKillCheckpointResume:
         assert "injected worker failure" in str(excinfo.value)
         return build(policy).resume()
 
-    def test_mlp_sparse_stacked(self, tiny_mnist, tmp_path,
-                                baseline_mlp_sparse_stacked):
+    def test_mlp_sparse(self, tiny_mnist, tmp_path, baseline_mlp_sparse):
         before = shm_entries()
         result = self._abort_and_resume(
             lambda policy: make_mlp(tiny_mnist, optimizer="sparse",
-                                    backend="stacked", policy=policy),
+                                    policy=policy),
             tmp_path)
-        assert history_of(result) == history_of(baseline_mlp_sparse_stacked)
-        assert result.final_metric == baseline_mlp_sparse_stacked.final_metric
+        assert history_of(result) == history_of(baseline_mlp_sparse)
+        assert result.final_metric == baseline_mlp_sparse.final_metric
         assert shm_entries() <= before
 
-    def test_lstm_dense_stacked(self, tiny_corpus, tmp_path,
-                                baseline_lstm_dense_stacked):
+    def test_lstm_dense(self, tiny_corpus, tmp_path, baseline_lstm_dense):
         result = self._abort_and_resume(
-            lambda policy: make_lstm(tiny_corpus, backend="stacked",
-                                     policy=policy),
-            tmp_path)
-        assert history_of(result) == history_of(baseline_lstm_dense_stacked)
+            lambda policy: make_lstm(tiny_corpus, policy=policy), tmp_path)
+        assert history_of(result) == history_of(baseline_lstm_dense)
 
     def test_resume_without_checkpoint_fails(self, tiny_mnist, tmp_path):
         from repro.distributed import CheckpointError

@@ -221,10 +221,10 @@ class TestRecurrentDropConnectSite:
 
     def test_unroll_hoists_one_context_per_cell(self, rng):
         """The weight-tile gather must run once per window, not per timestep."""
-        from repro.backends import NumpyBackend
+        from repro.backends import ExecutionBackend
 
         lstm, sites = self._build_lstm("compact", layers=1)
-        backend = NumpyBackend()
+        backend = ExecutionBackend()
         sites[0].backend = backend
         seq_len = 5
         lstm(Tensor(rng.normal(size=(seq_len, 2, 6))))

@@ -2,8 +2,8 @@
 
 The contract: :class:`SparseSGD` produces parameter trajectories **bit for
 bit identical** to the dense :class:`~repro.nn.optim.SGD` across every
-hyper-parameter corner (momentum, weight decay, gradient clipping) and every
-execution backend, while its update arithmetic provably never writes rows or
+hyper-parameter corner (momentum, weight decay, gradient clipping) and both
+trainers, while its update arithmetic provably never writes rows or
 columns outside the recorded dirty region.
 """
 
@@ -15,9 +15,6 @@ from repro.nn.module import Parameter
 from repro.nn.optim import SGD, _grad_sq_norm
 from repro.optim_sparse import SparseSGD
 from repro.tensor import dirty
-
-BACKENDS = ("numpy", "fused", "stacked")
-
 
 def clone_params(params):
     return [Parameter(p.data.copy()) for p in params]
@@ -248,10 +245,9 @@ class TestRuntimeWiring:
 
 
 class TestTrainerBitIdentity:
-    """End-to-end: both trainers, every backend, sparse == dense bit for bit."""
+    """End-to-end: both trainers, sparse == dense bit for bit."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mlp_classifier_histories_identical(self, tiny_mnist, backend):
+    def test_mlp_classifier_histories_identical(self, tiny_mnist):
         from repro.models.mlp import MLPClassifier, MLPConfig
         from repro.training.trainer import (
             ClassifierTrainer,
@@ -263,8 +259,8 @@ class TestTrainerBitIdentity:
                 input_size=tiny_mnist.num_features, hidden_sizes=(48, 48),
                 num_classes=tiny_mnist.num_classes, drop_rates=(0.5, 0.5),
                 strategy="row", seed=3))
-            runtime = EngineRuntime(ExecutionConfig(
-                backend=backend, optimizer=optimizer, seed=3))
+            runtime = EngineRuntime(ExecutionConfig(optimizer=optimizer,
+                                                    seed=3))
             trainer = ClassifierTrainer(
                 model, tiny_mnist,
                 ClassifierTrainingConfig(batch_size=32, epochs=1,
@@ -280,8 +276,7 @@ class TestTrainerBitIdentity:
         stats = trainer.runtime.stats()["optimizer"]
         assert stats["kind"] == "sparse" and stats["steps"] == 6
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_lstm_lm_histories_identical(self, tiny_corpus, backend):
+    def test_lstm_lm_histories_identical(self, tiny_corpus):
         from repro.models.lstm_lm import LSTMConfig, LSTMLanguageModel
         from repro.training.lm_trainer import (
             LanguageModelTrainer,
@@ -293,8 +288,8 @@ class TestTrainerBitIdentity:
                 vocab_size=60, embed_size=32, hidden_size=32, num_layers=2,
                 drop_rates=(0.5, 0.5), strategy="row", seed=5))
             runtime = EngineRuntime(ExecutionConfig(
-                backend=backend, recurrent="tiled", loss_head="sampled",
-                optimizer=optimizer, seed=5))
+                recurrent="tiled", loss_head="sampled", optimizer=optimizer,
+                seed=5))
             trainer = LanguageModelTrainer(
                 model, tiny_corpus,
                 LanguageModelTrainingConfig(batch_size=8, seq_len=10,

@@ -5,7 +5,9 @@ equality: a request answered alone runs an m=1 GEMM and the same request
 pooled into a batch runs an m=N GEMM, and BLAS does not promise the two
 blockings produce bitwise-identical sums.  (The *engine* itself is bitwise
 against eval ``forward()`` at equal batch shapes — that contract lives in
-``test_engine.py``.)
+``test_inference_engine.py``.)  The isolation tests below compare bitwise:
+a malformed request makes its batch re-run one request at a time, so every
+valid co-batched request is answered exactly as it would be alone.
 """
 
 from __future__ import annotations
@@ -16,17 +18,29 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.execution import EngineRuntime, ExecutionConfig
+from repro.models.lstm_lm import LSTMConfig, LSTMLanguageModel
 from repro.models.mlp import MLPClassifier, MLPConfig
 from repro.serving import InferenceEngine, MicroBatcher
 from repro.tensor.tensor import Tensor, no_grad
 
 
-def make_engine(**config_overrides) -> InferenceEngine:
+def make_engine(input_size: int = 12, **config_overrides) -> InferenceEngine:
     model = MLPClassifier(MLPConfig(
-        input_size=12, hidden_sizes=(16,), num_classes=4,
+        input_size=input_size, hidden_sizes=(16,), num_classes=4,
         drop_rates=(0.5,), strategy="row", seed=11))
+    return freeze(model, **config_overrides)
+
+
+def make_lm_engine() -> InferenceEngine:
+    return freeze(LSTMLanguageModel(LSTMConfig(
+        vocab_size=50, embed_size=8, hidden_size=8, num_layers=2,
+        drop_rates=(0.5, 0.5), strategy="row", seed=11)))
+
+
+def freeze(model, **config_overrides) -> InferenceEngine:
     runtime = EngineRuntime(ExecutionConfig(
         mode="pooled", dtype="float64", **config_overrides))
     runtime.bind(model)
@@ -136,6 +150,113 @@ class TestShutdown:
         good = batcher.submit(np.zeros(12))
         assert good.result(timeout=10).shape == (4,)
         batcher.close()
+
+
+def serve_as_one_batch(engine: InferenceEngine, requests: list) -> list:
+    """Submit ``requests`` so they form exactly one micro-batch (the size
+    bound fires before the long wait window) and return their futures,
+    all resolved."""
+    with MicroBatcher(engine, max_batch=len(requests),
+                      max_wait_ms=10_000.0) as batcher:
+        futures = [batcher.submit(request) for request in requests]
+    return futures
+
+
+def assert_isolated(engine: InferenceEngine, requests: list,
+                    malformed: set[int]) -> None:
+    """Only the ``malformed`` requests fail; every other request gets
+    exactly its solo answer."""
+    futures = serve_as_one_batch(engine, requests)
+    for index, (request, future) in enumerate(zip(requests, futures)):
+        if index in malformed:
+            with pytest.raises((ValueError, IndexError)):
+                future.result(timeout=10)
+        else:
+            assert np.array_equal(future.result(timeout=10),
+                                  engine.infer_requests([request])[0])
+
+
+@pytest.fixture(scope="module")
+def mlp_engine() -> InferenceEngine:
+    return make_engine(input_size=8)
+
+
+@pytest.fixture(scope="module")
+def lm_engine() -> InferenceEngine:
+    return make_lm_engine()
+
+
+class TestRequestIsolation:
+    """One malformed request fails its own future, never its batch."""
+
+    def test_short_feature_vector_fails_alone(self, mlp_engine, rng):
+        requests = [rng.normal(size=8) for _ in range(6)]
+        requests.insert(3, rng.normal(size=5))
+        assert_isolated(mlp_engine, requests, malformed={3})
+
+    def test_out_of_vocab_token_fails_alone(self, lm_engine):
+        requests = [np.array([1, 2, 3]), np.array([999]), np.array([4, 5])]
+        assert_isolated(lm_engine, requests, malformed={1})
+
+    def test_non_finite_input_fails_alone(self, mlp_engine, rng):
+        requests = [rng.normal(size=8) for _ in range(4)]
+        requests[2][5] = np.nan
+        assert_isolated(mlp_engine, requests, malformed={2})
+        with pytest.raises(ValueError, match="non-finite"):
+            mlp_engine.infer_requests([requests[2]])
+
+
+_FLOATS = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+def _vector(size: int):
+    return st.lists(_FLOATS, min_size=size, max_size=size).map(np.array)
+
+
+#: MLP requests of an 8-feature model: (request, malformed) pairs.
+_MLP_REQUESTS = st.one_of(
+    _vector(8).map(lambda r: (r, False)),
+    st.integers(0, 12).filter(lambda n: n != 8).flatmap(_vector)
+    .map(lambda r: (r, True)),                               # wrong length
+    st.sampled_from([(1, 8), (2, 4), (8, 1), ()]).flatmap(
+        lambda shape: _vector(int(np.prod(shape))).map(
+            lambda r: (r.reshape(shape), True))),           # wrong ndim
+    st.tuples(_vector(8), st.integers(0, 7),
+              st.sampled_from([np.nan, np.inf, -np.inf])).map(
+        lambda t: (np.where(np.arange(8) == t[1], t[2], t[0]), True)),
+)
+
+#: LM requests of a 50-token vocabulary: (request, malformed) pairs.
+_TOKENS = st.lists(st.integers(0, 49), min_size=1, max_size=6)
+_LM_REQUESTS = st.one_of(
+    _TOKENS.map(lambda ids: (np.array(ids), False)),
+    st.tuples(_TOKENS, st.integers(50, 10_000)).map(
+        lambda t: (np.array(t[0] + [t[1]]), True)),          # out of vocab
+    st.tuples(_TOKENS, st.integers(-10_000, -1)).map(
+        lambda t: (np.array([t[1]] + t[0]), True)),          # negative id
+)
+
+
+def _with_a_malformed_request(requests):
+    return st.lists(requests, min_size=2, max_size=8).filter(
+        lambda pairs: any(bad for _, bad in pairs))
+
+
+class TestRequestIsolationProperty:
+    """Fuzzed batches mixing valid and malformed requests: every malformed
+    future raises, every valid one is bit-identical to its solo answer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=_with_a_malformed_request(_MLP_REQUESTS))
+    def test_mlp_batches(self, mlp_engine, pairs):
+        assert_isolated(mlp_engine, [request for request, _ in pairs],
+                        {i for i, (_, bad) in enumerate(pairs) if bad})
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=_with_a_malformed_request(_LM_REQUESTS))
+    def test_lm_batches(self, lm_engine, pairs):
+        assert_isolated(lm_engine, [request for request, _ in pairs],
+                        {i for i, (_, bad) in enumerate(pairs) if bad})
 
 
 class TestConfiguration:

@@ -1,10 +1,9 @@
 """Bit-identity tests for the frozen inference engine.
 
-The engine's contract is exact: for every execution backend and dtype, its
-``infer()`` output equals the model's own eval-mode ``forward()`` bit for
-bit (``np.array_equal``, not ``allclose``).  The tests sweep both model
-kinds, every registered backend, both recurrent modes and every dropout
-strategy, because each combination interns a different frozen program
+The engine's contract is exact: for every dtype, its ``infer()`` output
+equals the model's own eval-mode ``forward()`` bit for bit
+(``np.array_equal``, not ``allclose``).  The tests sweep both model kinds,
+both recurrent modes and every dropout strategy, because each combination interns a different frozen program
 (plain dense, DropConnect-scaled weights, recurrent-site weights, ...).
 """
 
@@ -18,9 +17,6 @@ from repro.models.lstm_lm import LSTMConfig, LSTMLanguageModel
 from repro.models.mlp import MLPClassifier, MLPConfig
 from repro.serving import InferenceEngine
 from repro.tensor.tensor import Tensor, no_grad
-
-BACKENDS = ("numpy", "fused", "stacked")
-
 
 def make_mlp(strategy: str, seed: int = 3) -> MLPClassifier:
     return MLPClassifier(MLPConfig(
@@ -43,11 +39,10 @@ def bind(model, **overrides) -> EngineRuntime:
 
 
 class TestMLPBitIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("strategy", ["none", "original", "row", "tile"])
-    def test_matches_eval_forward(self, backend, strategy, rng):
+    def test_matches_eval_forward(self, strategy, rng):
         model = make_mlp(strategy)
-        runtime = bind(model, backend=backend)
+        runtime = bind(model)
         engine = InferenceEngine(model, runtime=runtime)
         x = rng.normal(size=(7, 20))
         model.eval()
@@ -94,11 +89,10 @@ class TestMLPBitIdentity:
 
 
 class TestLSTMBitIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("recurrent", ["dense", "tiled"])
-    def test_matches_eval_forward(self, backend, recurrent, rng):
+    def test_matches_eval_forward(self, recurrent, rng):
         model = make_lm("row")
-        runtime = bind(model, backend=backend, recurrent=recurrent)
+        runtime = bind(model, recurrent=recurrent)
         engine = InferenceEngine(model, runtime=runtime)
         tokens = rng.integers(0, 40, size=(6, 3))
         model.eval()

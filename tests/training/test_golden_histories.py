@@ -6,14 +6,12 @@ with input-column compaction), an LSTM with the sampled loss head and an
 LSTM with the adaptive loss head at vocab 20000.  Each run's per-step
 training losses are recorded as ``float.hex`` literals, so any change to
 the order or rounding of the arithmetic shows up as a failed equality,
-not as a tolerance drift.  Seeded histories are bit-identical across the
-execution backends, so every backend must reproduce the same literals.
+not as a tolerance drift.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.data import make_synthetic_corpus, make_synthetic_mnist
 from repro.data.batching import BatchIterator, BPTTBatcher
@@ -26,18 +24,17 @@ from repro.training import (
     LanguageModelTrainingConfig,
 )
 
-BACKENDS = ("numpy", "fused", "stacked")
 STEPS = 6
 
 
-def mlp_losses(backend: str) -> list[str]:
+def mlp_losses() -> list[str]:
     data = make_synthetic_mnist(num_train=64, num_test=16, seed=3)
     model = MLPClassifier(MLPConfig(
         input_size=data.num_features, hidden_sizes=(48, 48),
         num_classes=data.num_classes, drop_rates=(0.7, 0.5),
         strategy="row", seed=3))
-    runtime = EngineRuntime(ExecutionConfig(mode="pooled", backend=backend,
-                                            optimizer="sparse", seed=3))
+    runtime = EngineRuntime(ExecutionConfig(mode="pooled", optimizer="sparse",
+                                            seed=3))
     trainer = ClassifierTrainer(
         model, data, ClassifierTrainingConfig(batch_size=16, seed=3),
         runtime=runtime)
@@ -51,7 +48,7 @@ def mlp_losses(backend: str) -> list[str]:
     return losses[:STEPS]
 
 
-def lm_losses(backend: str, loss_head: str, vocab: int) -> list[str]:
+def lm_losses(loss_head: str, vocab: int) -> list[str]:
     batch, seq_len = 4, 5
     corpus = make_synthetic_corpus(
         vocab_size=vocab, num_train_tokens=batch * seq_len * STEPS + batch,
@@ -60,7 +57,7 @@ def lm_losses(backend: str, loss_head: str, vocab: int) -> list[str]:
         vocab_size=vocab, embed_size=16, hidden_size=16, num_layers=2,
         drop_rates=(0.5, 0.5), strategy="row", seed=5))
     runtime = EngineRuntime(ExecutionConfig(
-        mode="pooled", backend=backend, recurrent="tiled",
+        mode="pooled", recurrent="tiled",
         loss_head=loss_head, loss_head_rate=0.5, optimizer="sparse", seed=5))
     trainer = LanguageModelTrainer(
         model, corpus,
@@ -103,16 +100,13 @@ GOLDEN_LSTM_ADAPTIVE_20K = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_row_dropout_mlp_history(backend):
-    assert mlp_losses(backend) == GOLDEN_MLP
+def test_row_dropout_mlp_history():
+    assert mlp_losses() == GOLDEN_MLP
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_lstm_sampled_head_history(backend):
-    assert lm_losses(backend, "sampled", 256) == GOLDEN_LSTM_SAMPLED
+def test_lstm_sampled_head_history():
+    assert lm_losses("sampled", 256) == GOLDEN_LSTM_SAMPLED
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_lstm_adaptive_head_history_at_vocab_20000(backend):
-    assert lm_losses(backend, "adaptive", 20000) == GOLDEN_LSTM_ADAPTIVE_20K
+def test_lstm_adaptive_head_history_at_vocab_20000():
+    assert lm_losses("adaptive", 20000) == GOLDEN_LSTM_ADAPTIVE_20K
