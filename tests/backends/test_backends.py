@@ -1,14 +1,25 @@
-"""Runtime integration of the execution backend.
+"""Tests for the execution backend.
 
-``EngineRuntime`` installs its own backend instance on the bound model's
-layers and reports per-operation call counts in ``stats()``.
+Two areas are covered:
+
+* the window-context primitives — the recurrent window-context op must
+  agree with the plain numpy reference (the dense product with the
+  pattern-masked weight) on the forward pass and both gradients;
+* runtime integration — ``EngineRuntime`` installs its own backend instance
+  on the bound model's layers and reports per-operation call counts in
+  ``stats()``.
 """
 
 import numpy as np
+import pytest
 
 from repro.backends import ExecutionBackend, default_backend
-from repro.dropout.compact_ops import row_compact_linear
-from repro.dropout.patterns import RowDropoutPattern
+from repro.dropout.compact_ops import (
+    recurrent_compact_context,
+    recurrent_context_linear,
+    row_compact_linear,
+)
+from repro.dropout.patterns import RecurrentTilePattern, RowDropoutPattern
 from repro.execution import EngineRuntime, ExecutionConfig
 from repro.models import MLPClassifier, MLPConfig
 from repro.tensor import Tensor
@@ -27,6 +38,53 @@ def _run_and_collect(op):
     seed_grad = np.random.default_rng(99).normal(size=out.shape)
     (out * Tensor(seed_grad)).sum().backward()
     return out
+
+
+class TestContextEquivalence:
+    """The window-context op (`recurrent_context_linear`) routes its
+    per-class GEMMs through the backend's ``context_*`` primitives; it must
+    agree with the dense numpy product against the pattern-masked weight on
+    the forward pass and both gradients (through the whole gather op, so the
+    full-size weight gradient is compared too)."""
+
+    RECURRENT_CASES = [
+        # (hidden, num_gates, dp, bias, tile) — dp=4 over an 8-wide tile
+        # grid produces several equal-shape column classes.
+        (96, 4, 3, 1, 32),
+        (160, 4, 4, 0, 32),
+        (256, 4, 7, 2, 32),
+        (64, 2, 2, 1, 32),
+    ]
+
+    @pytest.mark.parametrize("hidden,gates,dp,bias_phase,tile",
+                             RECURRENT_CASES)
+    def test_context_linear_matches_numpy(self, hidden, gates, dp,
+                                          bias_phase, tile):
+        pattern = RecurrentTilePattern(hidden_size=hidden, num_gates=gates,
+                                       dp=dp, bias=bias_phase, tile=tile)
+        scale = 1.4
+        backend = ExecutionBackend()
+        rng = np.random.default_rng(13)
+        h = Tensor(rng.normal(size=(6, hidden)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(gates * hidden, hidden)) * 0.1,
+                        requires_grad=True)
+        context = recurrent_compact_context(weight, pattern, backend=backend)
+        out = _run_and_collect(lambda: recurrent_context_linear(
+            h, context, scale_factor=scale, backend=backend))
+        assert backend.calls.get("context_forward") == 1
+
+        mask = pattern.mask()
+        masked = pattern.apply_mask(weight.data)
+        seed_grad = np.random.default_rng(99).normal(size=out.shape)
+        expected = (
+            scale * (h.data @ masked.T),
+            scale * (seed_grad @ masked),
+            scale * (seed_grad.T @ h.data) * mask,
+        )
+        for got, ref in zip((out.data, h.grad, weight.grad), expected):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
+        # Dropped tiles receive exactly zero weight gradient.
+        assert not weight.grad[mask == 0.0].any()
 
 
 class TestRuntimeIntegration:

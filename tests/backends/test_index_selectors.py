@@ -70,9 +70,11 @@ def _rows_before(grad: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return grad[:, rows]
 
 
-#: The backend is stateless apart from its call counters, so one instance
-#: serves every example.
-BACKEND = ExecutionBackend()
+#: The execution backends by name; the numpy reference path is the only one.
+#: A backend is stateless apart from its call counters, so one instance per
+#: name serves every example.
+BACKENDS = {"numpy": ExecutionBackend()}
+each_backend = pytest.mark.parametrize("name", sorted(BACKENDS))
 
 
 class TestSelector:
@@ -89,61 +91,70 @@ class TestSelector:
         assert _slice_or_index(indices) is indices
 
 
+@each_backend
 class TestGathers:
     @settings(max_examples=40, deadline=None)
     @given(rows=index_sets(ROWS), seed=st.integers(0, 2**16))
-    def test_gather_rows(self, rows, seed):
+    def test_gather_rows(self, name, rows, seed):
+        backend = BACKENDS[name]
         source = _source(seed)
-        _assert_fresh_gather(BACKEND.gather_rows(source, rows), source[rows],
+        _assert_fresh_gather(backend.gather_rows(source, rows), source[rows],
                              source)
 
     @settings(max_examples=40, deadline=None)
     @given(cols=index_sets(COLS), seed=st.integers(0, 2**16))
-    def test_gather_cols(self, cols, seed):
+    def test_gather_cols(self, name, cols, seed):
+        backend = BACKENDS[name]
         source = _source(seed)
-        _assert_fresh_gather(BACKEND.gather_cols(source, cols),
+        _assert_fresh_gather(backend.gather_cols(source, cols),
                              source[:, cols], source)
 
     @settings(max_examples=40, deadline=None)
     @given(rows=index_sets(ROWS), cols=index_sets(COLS),
            seed=st.integers(0, 2**16))
-    def test_gather_block(self, rows, cols, seed):
+    def test_gather_block(self, name, rows, cols, seed):
+        backend = BACKENDS[name]
         source = _source(seed)
         # Laid out as the row-then-column gather it replaces in the ops.
-        _assert_fresh_gather(BACKEND.gather_block(source, rows, cols),
+        _assert_fresh_gather(backend.gather_block(source, rows, cols),
                              source[rows][:, cols], source)
 
 
+@each_backend
 class TestScatters:
     @settings(max_examples=40, deadline=None)
     @given(rows=index_sets(ROWS), seed=st.integers(0, 2**16))
-    def test_scatter_rows(self, rows, seed):
+    def test_scatter_rows(self, name, rows, seed):
+        backend = BACKENDS[name]
         values = _source(seed)[:len(rows)]
         out, expected = np.zeros((ROWS, COLS)), np.zeros((ROWS, COLS))
-        BACKEND.scatter_rows(out, rows, values)
+        backend.scatter_rows(out, rows, values)
         expected[rows] = values
         assert out.tobytes() == expected.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(cols=index_sets(COLS), seed=st.integers(0, 2**16))
-    def test_scatter_cols(self, cols, seed):
+    def test_scatter_cols(self, name, cols, seed):
+        backend = BACKENDS[name]
         values = _source(seed)[:, :len(cols)]
         out, expected = np.zeros((ROWS, COLS)), np.zeros((ROWS, COLS))
-        BACKEND.scatter_cols(out, cols, values)
+        backend.scatter_cols(out, cols, values)
         expected[:, cols] = values
         assert out.tobytes() == expected.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(rows=index_sets(ROWS), cols=index_sets(COLS),
            seed=st.integers(0, 2**16))
-    def test_scatter_block(self, rows, cols, seed):
+    def test_scatter_block(self, name, rows, cols, seed):
+        backend = BACKENDS[name]
         values = _source(seed)[:len(rows), :len(cols)]
         out, expected = np.zeros((ROWS, COLS)), np.zeros((ROWS, COLS))
-        BACKEND.scatter_block(out, rows, cols, values)
+        backend.scatter_block(out, rows, cols, values)
         expected[np.ix_(rows, cols)] = values
         assert out.tobytes() == expected.tobytes()
 
 
+@each_backend
 class TestContextOps:
     """The window-context primitives select ``h[:, cols]`` and accumulate
     ``grad_h[:, cols]`` through the same selectors."""
@@ -151,7 +162,9 @@ class TestContextOps:
     @settings(max_examples=40, deadline=None)
     @given(rows=index_sets(ROWS), cols=index_sets(COLS),
            seed=st.integers(0, 2**16))
-    def test_context_primitives_match_fancy_indexing(self, rows, cols, seed):
+    def test_context_primitives_match_fancy_indexing(self, name, rows, cols,
+                                                     seed):
+        backend = BACKENDS[name]
         rng = np.random.default_rng(seed)
         h = rng.standard_normal((4, COLS))
         grad = rng.standard_normal((4, ROWS))
@@ -159,15 +172,15 @@ class TestContextOps:
         classes = ((rows, cols),)
 
         out, expected = np.zeros((4, ROWS)), np.zeros((4, ROWS))
-        BACKEND.context_forward(classes, (block,), h, out)
+        backend.context_forward(classes, (block,), h, out)
         expected[:, rows] = h[:, cols] @ block.T
         assert out.tobytes() == expected.tobytes()
 
         grad_h, expected_h = np.zeros_like(h), np.zeros_like(h)
-        BACKEND.context_backward_h(classes, (block,), grad, grad_h, scale=0.5)
+        backend.context_backward_h(classes, (block,), grad, grad_h, scale=0.5)
         expected_h[:, cols] += (_rows_before(grad, rows) * 0.5) @ block
         assert grad_h.tobytes() == expected_h.tobytes()
 
-        (piece,) = BACKEND.context_backward_blocks(classes, grad, h, scale=0.5)
+        (piece,) = backend.context_backward_blocks(classes, grad, h, scale=0.5)
         expected_piece = (_rows_before(grad, rows) * 0.5).T @ h[:, cols]
         assert piece.tobytes() == expected_piece.tobytes()

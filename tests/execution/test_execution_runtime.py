@@ -46,6 +46,7 @@ class TestExecutionConfig:
         {"head_clusters": 0},
         {"pool_size": 0},
         {"workspace_slots": 0},
+        {"compress_cutover": 1.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -2,19 +2,25 @@
 
 The contract: :class:`SparseSGD` produces parameter trajectories **bit for
 bit identical** to the dense :class:`~repro.nn.optim.SGD` across every
-hyper-parameter corner (momentum, weight decay, gradient clipping) and both
-trainers, while its update arithmetic provably never writes rows or
-columns outside the recorded dirty region.
+hyper-parameter corner (momentum, weight decay, gradient clipping), both
+trainers and every execution backend, while its update arithmetic provably
+never writes rows or columns outside the recorded dirty region.
 """
 
 import numpy as np
 import pytest
 
+from repro.backends import ExecutionBackend
 from repro.execution import EngineRuntime, ExecutionConfig
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD, _grad_sq_norm
 from repro.optim_sparse import SparseSGD
 from repro.tensor import dirty
+
+#: The execution backends the trainer bit-identity runs on, by name;
+#: the numpy reference path is the only one.
+BACKENDS = {"numpy": ExecutionBackend}
+
 
 def clone_params(params):
     return [Parameter(p.data.copy()) for p in params]
@@ -245,9 +251,10 @@ class TestRuntimeWiring:
 
 
 class TestTrainerBitIdentity:
-    """End-to-end: both trainers, sparse == dense bit for bit."""
+    """End-to-end: both trainers, every backend, sparse == dense bit for bit."""
 
-    def test_mlp_classifier_histories_identical(self, tiny_mnist):
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_mlp_classifier_histories_identical(self, tiny_mnist, backend):
         from repro.models.mlp import MLPClassifier, MLPConfig
         from repro.training.trainer import (
             ClassifierTrainer,
@@ -261,6 +268,7 @@ class TestTrainerBitIdentity:
                 strategy="row", seed=3))
             runtime = EngineRuntime(ExecutionConfig(optimizer=optimizer,
                                                     seed=3))
+            assert type(runtime.backend) is BACKENDS[backend]
             trainer = ClassifierTrainer(
                 model, tiny_mnist,
                 ClassifierTrainingConfig(batch_size=32, epochs=1,
@@ -276,7 +284,8 @@ class TestTrainerBitIdentity:
         stats = trainer.runtime.stats()["optimizer"]
         assert stats["kind"] == "sparse" and stats["steps"] == 6
 
-    def test_lstm_lm_histories_identical(self, tiny_corpus):
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_lstm_lm_histories_identical(self, tiny_corpus, backend):
         from repro.models.lstm_lm import LSTMConfig, LSTMLanguageModel
         from repro.training.lm_trainer import (
             LanguageModelTrainer,
@@ -290,6 +299,7 @@ class TestTrainerBitIdentity:
             runtime = EngineRuntime(ExecutionConfig(
                 recurrent="tiled", loss_head="sampled", optimizer=optimizer,
                 seed=5))
+            assert type(runtime.backend) is BACKENDS[backend]
             trainer = LanguageModelTrainer(
                 model, tiny_corpus,
                 LanguageModelTrainingConfig(batch_size=8, seq_len=10,

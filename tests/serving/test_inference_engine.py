@@ -1,10 +1,11 @@
 """Bit-identity tests for the frozen inference engine.
 
-The engine's contract is exact: for every dtype, its ``infer()`` output
-equals the model's own eval-mode ``forward()`` bit for bit
-(``np.array_equal``, not ``allclose``).  The tests sweep both model kinds,
-both recurrent modes and every dropout strategy, because each combination interns a different frozen program
-(plain dense, DropConnect-scaled weights, recurrent-site weights, ...).
+The engine's contract is exact: for every execution backend and dtype, its
+``infer()`` output equals the model's own eval-mode ``forward()`` bit for
+bit (``np.array_equal``, not ``allclose``).  The tests sweep both model
+kinds, both recurrent modes and every dropout strategy, because each
+combination interns a different frozen program (plain dense,
+DropConnect-scaled weights, recurrent-site weights, ...).
 """
 
 from __future__ import annotations
@@ -12,11 +13,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import ExecutionBackend
 from repro.execution import EngineRuntime, ExecutionConfig
 from repro.models.lstm_lm import LSTMConfig, LSTMLanguageModel
 from repro.models.mlp import MLPClassifier, MLPConfig
 from repro.serving import InferenceEngine
 from repro.tensor.tensor import Tensor, no_grad
+
+#: The execution backends the bit-identity contract is checked on, by name;
+#: the numpy reference path is the only one.
+BACKENDS = {"numpy": ExecutionBackend}
+
 
 def make_mlp(strategy: str, seed: int = 3) -> MLPClassifier:
     return MLPClassifier(MLPConfig(
@@ -39,10 +46,12 @@ def bind(model, **overrides) -> EngineRuntime:
 
 
 class TestMLPBitIdentity:
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("strategy", ["none", "original", "row", "tile"])
-    def test_matches_eval_forward(self, strategy, rng):
+    def test_matches_eval_forward(self, backend, strategy, rng):
         model = make_mlp(strategy)
         runtime = bind(model)
+        assert type(runtime.backend) is BACKENDS[backend]
         engine = InferenceEngine(model, runtime=runtime)
         x = rng.normal(size=(7, 20))
         model.eval()
@@ -89,10 +98,12 @@ class TestMLPBitIdentity:
 
 
 class TestLSTMBitIdentity:
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("recurrent", ["dense", "tiled"])
-    def test_matches_eval_forward(self, recurrent, rng):
+    def test_matches_eval_forward(self, backend, recurrent, rng):
         model = make_lm("row")
         runtime = bind(model, recurrent=recurrent)
+        assert type(runtime.backend) is BACKENDS[backend]
         engine = InferenceEngine(model, runtime=runtime)
         tokens = rng.integers(0, 40, size=(6, 3))
         model.eval()

@@ -6,13 +6,16 @@ with input-column compaction), an LSTM with the sampled loss head and an
 LSTM with the adaptive loss head at vocab 20000.  Each run's per-step
 training losses are recorded as ``float.hex`` literals, so any change to
 the order or rounding of the arithmetic shows up as a failed equality,
-not as a tolerance drift.
+not as a tolerance drift.  The literals were recorded on the numpy
+reference path, the one execution backend.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from repro.backends import ExecutionBackend
 from repro.data import make_synthetic_corpus, make_synthetic_mnist
 from repro.data.batching import BatchIterator, BPTTBatcher
 from repro.execution import EngineRuntime, ExecutionConfig
@@ -24,10 +27,12 @@ from repro.training import (
     LanguageModelTrainingConfig,
 )
 
+#: The execution backends that must reproduce the literals, by name.
+BACKENDS = {"numpy": ExecutionBackend}
 STEPS = 6
 
 
-def mlp_losses() -> list[str]:
+def mlp_losses(backend: str) -> list[str]:
     data = make_synthetic_mnist(num_train=64, num_test=16, seed=3)
     model = MLPClassifier(MLPConfig(
         input_size=data.num_features, hidden_sizes=(48, 48),
@@ -35,6 +40,7 @@ def mlp_losses() -> list[str]:
         strategy="row", seed=3))
     runtime = EngineRuntime(ExecutionConfig(mode="pooled", optimizer="sparse",
                                             seed=3))
+    assert type(runtime.backend) is BACKENDS[backend]
     trainer = ClassifierTrainer(
         model, data, ClassifierTrainingConfig(batch_size=16, seed=3),
         runtime=runtime)
@@ -48,7 +54,7 @@ def mlp_losses() -> list[str]:
     return losses[:STEPS]
 
 
-def lm_losses(loss_head: str, vocab: int) -> list[str]:
+def lm_losses(backend: str, loss_head: str, vocab: int) -> list[str]:
     batch, seq_len = 4, 5
     corpus = make_synthetic_corpus(
         vocab_size=vocab, num_train_tokens=batch * seq_len * STEPS + batch,
@@ -59,6 +65,7 @@ def lm_losses(loss_head: str, vocab: int) -> list[str]:
     runtime = EngineRuntime(ExecutionConfig(
         mode="pooled", recurrent="tiled",
         loss_head=loss_head, loss_head_rate=0.5, optimizer="sparse", seed=5))
+    assert type(runtime.backend) is BACKENDS[backend]
     trainer = LanguageModelTrainer(
         model, corpus,
         LanguageModelTrainingConfig(batch_size=batch, seq_len=seq_len,
@@ -100,13 +107,16 @@ GOLDEN_LSTM_ADAPTIVE_20K = [
 ]
 
 
-def test_row_dropout_mlp_history():
-    assert mlp_losses() == GOLDEN_MLP
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_row_dropout_mlp_history(backend):
+    assert mlp_losses(backend) == GOLDEN_MLP
 
 
-def test_lstm_sampled_head_history():
-    assert lm_losses("sampled", 256) == GOLDEN_LSTM_SAMPLED
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_lstm_sampled_head_history(backend):
+    assert lm_losses(backend, "sampled", 256) == GOLDEN_LSTM_SAMPLED
 
 
-def test_lstm_adaptive_head_history_at_vocab_20000():
-    assert lm_losses("adaptive", 20000) == GOLDEN_LSTM_ADAPTIVE_20K
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_lstm_adaptive_head_history_at_vocab_20000(backend):
+    assert lm_losses(backend, "adaptive", 20000) == GOLDEN_LSTM_ADAPTIVE_20K
